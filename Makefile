@@ -54,21 +54,21 @@ screen-smoke:
 	$(GO) test -short -count=1 -run 'TestAtomicErrorBound|TestScreenMixedFidelity|TestScreenModeCampaign' ./internal/platform/ ./internal/core/ ./internal/serve/
 
 # Campaign, observability and stats benchmarks; writes machine-readable
-# results to BENCH_hotloop.json (see scripts/bench.sh). BENCH_obs.json is
-# the committed pre-hot-loop baseline.
+# results to BENCH_hotloop.json (see scripts/bench.sh), the committed
+# go-bench baseline. BENCH_obs.json is the older pre-hot-loop record.
 bench:
 	sh scripts/bench.sh
 
-# Re-run the benchmarks and diff them against the committed pre-hot-loop
-# baseline; deltas beyond +-10% are highlighted. The serve-level SLO
-# metrics (gemload latency percentiles and throughput per op class) are
-# re-measured and diffed against the committed BENCH_serve.json the
-# same way.
+# Re-run the benchmarks into BENCH_new.json and diff them against the
+# committed BENCH_hotloop.json baseline; deltas beyond +-10% are
+# highlighted. The serve-level SLO metrics (gemload latency percentiles
+# and throughput per op class) are re-measured and diffed against the
+# committed BENCH_serve.json the same way.
 # The atomic-tier pair is re-measured and diffed against
 # BENCH_atomic.json, whose detailed/atomic ratio gemwatch -bench-atomic
 # additionally holds above the speedup floor.
 bench-compare:
-	sh scripts/bench.sh -c BENCH_obs.json
+	sh scripts/bench.sh -c BENCH_hotloop.json BENCH_new.json
 	sh scripts/bench.sh -serve -c BENCH_serve.json BENCH_serve_new.json
 	sh scripts/bench.sh -atomic -c BENCH_atomic.json BENCH_atomic_new.json
 	$(GO) run ./cmd/gemwatch -bench-atomic BENCH_atomic_new.json -bench-atomic-base BENCH_atomic.json

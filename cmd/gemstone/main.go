@@ -7,8 +7,16 @@
 // Usage:
 //
 //	gemstone [flags]
-//	gemstone serve [flags]   start the multi-tenant campaign service
-//	                         (HTTP/JSON API; see serve.go for flags)
+//	gemstone serve [flags]       start the multi-tenant campaign service
+//	                             (HTTP/JSON API; see serve.go for flags)
+//	gemstone powmon [flags]      build & validate a power model, print the
+//	                             gem5 power equation (Section V)
+//	gemstone eventdiag [flags]   per-event gem5-vs-HW accuracy and the
+//	                             automated selection restraints (Fig. 7)
+//	gemstone modelcheck [flags]  CI gate: exit 1 when the model error
+//	                             exceeds bounds (Section VII)
+//
+//	(the subcommand flags are documented in tools.go)
 //
 //	-cluster   a15|a7        cluster to analyse            (default a15)
 //	-freq      MHz           analysis operating point      (default 1000)
@@ -16,7 +24,9 @@
 //	-analyses  list          comma-separated subset of:
 //	                         validate,fig3,fig4,fig5,gem5corr,regress,
 //	                         fig6,power,fig7,fig8,versions,dendro,
-//	                         consistency,workloads  (default all)
+//	                         consistency,workloads, or none
+//	                         (default all); fig4 and workloads alone
+//	                         run no campaign
 //	-workloads N             limit to the first N validation workloads
 //	-csvdir    dir           also write CSV artefacts into dir
 //	-cachedir  dir           memoise runs in a persistent cache at dir;
@@ -49,12 +59,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -62,6 +75,7 @@ import (
 	"gemstone"
 	"gemstone/internal/core"
 	"gemstone/internal/dist"
+	"gemstone/internal/gem5"
 	"gemstone/internal/ledger"
 	"gemstone/internal/lmbench"
 	"gemstone/internal/obs"
@@ -159,68 +173,112 @@ func (p *progressObserver) CollectDone(s core.CollectStats) {
 	p.log.Info("campaign done", attrs...)
 }
 
-// logger is the process-wide structured logger; main replaces it once
-// -log-format is parsed. writeCSV and the observers share it.
-var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-
-// exitHooks run (last-registered first) before any process exit so the
-// trace file and metrics listener are flushed even on fatal errors.
-var exitHooks []func()
-
-func exit(code int) {
-	for i := len(exitHooks) - 1; i >= 0; i-- {
-		exitHooks[i]()
-	}
-	os.Exit(code)
-}
-
-func fatal(err error) {
-	logger.Error("gemstone failed", "err", err)
-	exit(1)
-}
-
 func main() {
-	// Subcommand dispatch: `gemstone serve` starts the campaign service;
+	// Subcommand dispatch: `gemstone serve` starts the campaign service and
+	// `gemstone powmon|eventdiag|modelcheck` run the single-purpose tools;
 	// everything else is the classic one-shot flag-driven pipeline.
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serveMain(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		if os.Args[1] == "serve" {
+			serveMain(os.Args[2:])
+			return
+		}
+		if tool, ok := tools[os.Args[1]]; ok {
+			os.Exit(tool(os.Args[2:], os.Stdout, os.Stderr))
+		}
 	}
-	cluster := flag.String("cluster", gemstone.ClusterA15, "cluster to analyse (a7|a15)")
-	freq := flag.Int("freq", 1000, "analysis frequency in MHz")
-	version := flag.Int("version", 1, "gem5 model version (1|2)")
-	analyses := flag.String("analyses", "all", "comma-separated analyses to run")
-	nWorkloads := flag.Int("workloads", 0, "limit to the first N validation workloads (0 = all)")
-	csvDir := flag.String("csvdir", "", "write CSV artefacts into this directory")
-	statsDir := flag.String("statsdir", "", "dump one gem5 stats.txt per model run into this directory")
-	cacheDir := flag.String("cachedir", "", "memoise runs in a persistent cache at this directory")
-	progress := flag.Bool("progress", false, "log campaign progress while collecting")
-	validateRuns := flag.Bool("validate", false, "run invariant validators over every collected measurement")
-	ledgerPath := flag.String("ledger", "", "append a provenance manifest + results entry to this JSONL ledger")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON profile to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/pprof and /healthz on this host:port")
-	logFormat := flag.String("log-format", obs.LogText, "log output format (text|json)")
-	workers := flag.String("workers", "", "comma-separated gemstoned worker addresses for distributed campaigns")
-	fidelityFlag := flag.String("fidelity", "detailed", "simulation tier (detailed|atomic)")
-	screen := flag.Bool("screen", false, "screen-then-resimulate: sweep the grid at the atomic tier, re-simulate the flagged points detailed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	lg, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
+// analysisNames is the -analyses vocabulary: "all" selects every
+// analysis, "none" selects nothing (a -ledger or -validate run that
+// renders no report).
+var analysisNames = []string{"all", "none", "validate", "fig3", "fig4", "fig5", "gem5corr", "regress",
+	"fig6", "power", "fig7", "fig8", "versions", "dendro", "consistency", "workloads"}
+
+// parseAnalyses turns the -analyses list into a set, rejecting names
+// outside analysisNames.
+func parseAnalyses(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, a := range strings.Split(list, ",") {
+		a = strings.TrimSpace(a)
+		if !slices.Contains(analysisNames, a) {
+			return nil, fmt.Errorf("unknown analysis %q (valid: %s)", a, strings.Join(analysisNames, ","))
+		}
+		want[a] = true
+	}
+	return want, nil
+}
+
+// needsRuns reports whether any requested analysis reads collected runs:
+// Fig. 4 probes the cluster configurations directly and the workload
+// table is static, so only those two run without a campaign.
+func needsRuns(want map[string]bool) bool {
+	for a := range want {
+		if a != "none" && a != "fig4" && a != "workloads" {
+			return true
+		}
+	}
+	return false
+}
+
+// run is the one-shot pipeline; it returns the process exit status
+// (0 success, 1 failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gemstone", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cluster := fs.String("cluster", gemstone.ClusterA15, "cluster to analyse (a7|a15)")
+	freq := fs.Int("freq", 1000, "analysis frequency in MHz")
+	version := fs.Int("version", 1, "gem5 model version (1|2)")
+	analyses := fs.String("analyses", "all", "comma-separated analyses to run")
+	nWorkloads := fs.Int("workloads", 0, "limit to the first N validation workloads (0 = all)")
+	csvDir := fs.String("csvdir", "", "write CSV artefacts into this directory")
+	statsDir := fs.String("statsdir", "", "dump one gem5 stats.txt per model run into this directory")
+	cacheDir := fs.String("cachedir", "", "memoise runs in a persistent cache at this directory")
+	progress := fs.Bool("progress", false, "log campaign progress while collecting")
+	validateRuns := fs.Bool("validate", false, "run invariant validators over every collected measurement")
+	ledgerPath := fs.String("ledger", "", "append a provenance manifest + results entry to this JSONL ledger")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON profile to this file")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/pprof and /healthz on this host:port")
+	logFormat := fs.String("log-format", obs.LogText, "log output format (text|json)")
+	workers := fs.String("workers", "", "comma-separated gemstoned worker addresses for distributed campaigns")
+	fidelityFlag := fs.String("fidelity", "detailed", "simulation tier (detailed|atomic)")
+	screen := fs.Bool("screen", false, "screen-then-resimulate: sweep the grid at the atomic tier, re-simulate the flagged points detailed")
+	if err := fs.Parse(args); err != nil {
+		return flagExit(err)
+	}
+
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "gemstone:", err)
+		return 2
+	}
+	logger, err := obs.NewLogger(stderr, *logFormat, slog.LevelInfo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gemstone:", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	fid, err := gemstone.ParseFidelity(*fidelityFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gemstone:", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	if *screen && fid != gemstone.FidelityDetailed {
-		fmt.Fprintln(os.Stderr, "gemstone: -fidelity cannot be combined with -screen (the screen sets the tier per phase)")
-		os.Exit(2)
+		return usage(errors.New("-fidelity cannot be combined with -screen (the screen sets the tier per phase)"))
 	}
-	logger = lg
-	slog.SetDefault(lg)
+	ver, err := parseVersion(*version)
+	if err != nil {
+		return usage(err)
+	}
+	if err := checkCluster(*cluster); err != nil {
+		return usage(err)
+	}
+	want, err := parseAnalyses(*analyses)
+	if err != nil {
+		return usage(err)
+	}
+	on := func(name string) bool { return want["all"] || want[name] }
+	slog.SetDefault(logger)
+	fail := func(err error) int {
+		logger.Error("gemstone failed", "err", err)
+		return 1
+	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
@@ -228,28 +286,26 @@ func main() {
 	var tracer *gemstone.Tracer
 	if *traceFile != "" {
 		tracer = gemstone.NewTracer()
-		exitHooks = append(exitHooks, func() {
+		defer func() {
 			f, err := os.Create(*traceFile)
-			if err != nil {
-				logger.Error("trace not written", "err", err)
-				return
-			}
-			err = tracer.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+			if err == nil {
+				err = tracer.WriteChromeTrace(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
 			}
 			if err != nil {
 				logger.Error("trace not written", "err", err)
 				return
 			}
 			logger.Info("trace written", "file", *traceFile, "spans", len(tracer.Events()))
-		})
+		}()
 	}
 
 	var cache gemstone.RunCache
 	if *cacheDir != "" {
 		if cache, err = gemstone.OpenRunCache(*cacheDir); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	metrics := gemstone.NewCollectMetrics()
@@ -262,9 +318,9 @@ func main() {
 	if *metricsAddr != "" {
 		srv, err := gemstone.ServeMetrics(*metricsAddr, reg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		exitHooks = append(exitHooks, func() { srv.Close() })
+		defer srv.Close()
 		observers = append(observers, gemstone.NewRegistryCollectObserver(reg))
 		logger.Info("metrics listening", "addr", srv.Addr())
 	}
@@ -323,17 +379,6 @@ func main() {
 		return rs, err
 	}
 
-	want := map[string]bool{}
-	for _, a := range strings.Split(*analyses, ",") {
-		want[strings.TrimSpace(a)] = true
-	}
-	on := func(name string) bool { return want["all"] || want[name] }
-
-	ver := gemstone.V1
-	if *version == 2 {
-		ver = gemstone.V2
-	}
-
 	profiles := gemstone.ValidationWorkloads()
 	if *nWorkloads > 0 && *nWorkloads < len(profiles) {
 		profiles = profiles[:*nWorkloads]
@@ -346,9 +391,14 @@ func main() {
 		}
 	}
 
+	// Collect only when something reads the runs: the ledger, the stats
+	// dump and the validators always do.
+	needRuns := needsRuns(want) || *ledgerPath != "" || *statsDir != "" || *validateRuns
 	var hwRuns, simRuns *gemstone.RunSet
 	var flagged []gemstone.RunKey
-	if *screen {
+	switch {
+	case !needRuns:
+	case *screen:
 		logger.Info("screening campaign", "workloads", len(profiles), "cluster", *cluster)
 		res, serr := gemstone.Screen(ctx, gemstone.HardwarePlatform(), gemstone.Gem5Platform(ver),
 			gemstone.ScreenOptions{
@@ -358,39 +408,35 @@ func main() {
 				},
 			})
 		if serr != nil {
-			fatal(serr)
+			return fail(serr)
 		}
 		hwRuns, simRuns, flagged = res.HW, res.Sim, res.Flagged
 		logger.Info("screen complete", "points", len(res.ScreenedPE), "flagged", len(res.Flagged))
-	} else {
+	default:
 		logger.Info("collecting hardware characterisation", "workloads", len(profiles), "cluster", *cluster)
-		hwRuns, err = collect(gemstone.HardwarePlatform(), opt())
-		if err != nil {
-			fatal(err)
+		if hwRuns, err = collect(gemstone.HardwarePlatform(), opt()); err != nil {
+			return fail(err)
 		}
 		logger.Info("running gem5 simulations", "version", fmt.Sprint(ver))
-		simRuns, err = collect(gemstone.Gem5Platform(ver), opt())
-		if err != nil {
-			fatal(err)
+		if simRuns, err = collect(gemstone.Gem5Platform(ver), opt()); err != nil {
+			return fail(err)
 		}
 	}
 	if *statsDir != "" {
 		if err := dumpStatsFiles(*statsDir, simRuns); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		logger.Info("wrote gem5 stats files", "count", len(simRuns.Runs), "dir", *statsDir)
 	}
 
-	// All Section IV-VII analyses below share one operating point; the
-	// Session captures it once.
-	session := gemstone.NewSession(hwRuns, simRuns, *cluster, *freq)
-
+	// All Section IV-VII analyses below share one operating point.
+	cl, f := *cluster, *freq
 	var clustering *gemstone.WorkloadClustering
 	needClusters := on("fig3") || on("fig6") || on("fig7") || on("fig8") || on("versions")
 	if needClusters {
-		clustering, err = session.ClusterWorkloads(16)
+		clustering, err = gemstone.ClusterWorkloads(hwRuns, simRuns, cl, f, 16)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else if *ledgerPath != "" {
 		// Best-effort HCA labels for the ledger's per-workload table; a
@@ -400,7 +446,7 @@ func main() {
 		if n := len(profiles); n < k {
 			k = n
 		}
-		if wc, cerr := session.ClusterWorkloads(k); cerr == nil {
+		if wc, cerr := gemstone.ClusterWorkloads(hwRuns, simRuns, cl, f, k); cerr == nil {
 			clustering = wc
 		} else {
 			logger.Warn("ledger: clustering unavailable", "err", cerr)
@@ -409,154 +455,154 @@ func main() {
 
 	var summary *gemstone.ValidationSummary
 	if on("validate") || *ledgerPath != "" {
-		summary, err = session.Validate()
+		summary, err = gemstone.Validate(hwRuns, simRuns, cl)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if validator != nil {
 			validator.CheckValidation(summary)
 		}
 	}
 	if on("validate") {
-		fmt.Print(report.ValidationSummary(fmt.Sprintf("gem5 %v vs hardware", ver), summary))
+		fmt.Fprint(stdout, report.ValidationSummary(fmt.Sprintf("gem5 %v vs hardware", ver), summary))
 		if mape, mpe, n := summary.SuiteSummary("parsec-"); n > 0 {
-			fmt.Printf("PARSEC only: MAPE %.1f%% MPE %+.1f%% (%d runs)\n", mape, mpe, n)
+			fmt.Fprintf(stdout, "PARSEC only: MAPE %.1f%% MPE %+.1f%% (%d runs)\n", mape, mpe, n)
 		}
-		fmt.Println()
-		writeCSV(*csvDir, "validation.csv", func() ([]string, [][]string) { return report.ValidationSummaryCSV(summary) })
+		fmt.Fprintln(stdout)
+		if err := writeCSV(*csvDir, "validation.csv", func() ([]string, [][]string) { return report.ValidationSummaryCSV(summary) }); err != nil {
+			return fail(err)
+		}
 	}
 	if on("fig3") {
-		fmt.Println(report.Fig3(clustering))
-		writeCSV(*csvDir, "fig3.csv", func() ([]string, [][]string) { return report.Fig3CSV(clustering) })
+		fmt.Fprintln(stdout, report.Fig3(clustering))
+		if err := writeCSV(*csvDir, "fig3.csv", func() ([]string, [][]string) { return report.Fig3CSV(clustering) }); err != nil {
+			return fail(err)
+		}
 	}
 	if on("fig4") {
-		curves := map[string][]lmbench.Point{}
-		sizes := gemstone.DefaultLatencySizes()
-		if *cluster == gemstone.ClusterA15 {
-			curves["hw-a15"] = gemstone.MemoryLatency(gemstone.HardwareA15(), *freq, 256, sizes)
-			curves["gem5-a15"] = gemstone.MemoryLatency(gemstone.Gem5Big(ver), *freq, 256, sizes)
-		} else {
-			curves["hw-a7"] = gemstone.MemoryLatency(gemstone.HardwareA7(), *freq, 256, sizes)
-			curves["gem5-a7"] = gemstone.MemoryLatency(gemstone.Gem5LITTLE(ver), *freq, 256, sizes)
-		}
-		fmt.Println(report.Fig4(curves))
+		hwCurve, simCurve := latencyCurves(ver, cl, f)
+		fmt.Fprintln(stdout, report.Fig4(map[string][]lmbench.Point{"hw-" + cl: hwCurve, "gem5-" + cl: simCurve}))
 	}
 	if on("fig5") {
-		rows, err := session.PMCErrorCorrelation(30)
+		rows, err := gemstone.PMCErrorCorrelation(hwRuns, simRuns, cl, f, 30)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Fig5(rows))
-		writeCSV(*csvDir, "fig5.csv", func() ([]string, [][]string) { return report.Fig5CSV(rows) })
+		fmt.Fprintln(stdout, report.Fig5(rows))
+		if err := writeCSV(*csvDir, "fig5.csv", func() ([]string, [][]string) { return report.Fig5CSV(rows) }); err != nil {
+			return fail(err)
+		}
 	}
 	if on("workloads") {
-		fmt.Println("=== Workload suite ===")
-		fmt.Printf("%-26s %-12s %7s %10s\n", "name", "suite", "threads", "insts")
+		fmt.Fprintln(stdout, "=== Workload suite ===")
+		fmt.Fprintf(stdout, "%-26s %-12s %7s %10s\n", "name", "suite", "threads", "insts")
 		for _, p := range gemstone.Workloads() {
-			fmt.Printf("%-26s %-12s %7d %10d\n", p.Name, p.Suite, p.Threads, p.TotalInsts)
+			fmt.Fprintf(stdout, "%-26s %-12s %7d %10d\n", p.Name, p.Suite, p.Threads, p.TotalInsts)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if on("dendro") {
 		// The hierarchical view behind the Fig. 3 cluster labels.
-		X, names, err := workloadRateMatrix(hwRuns, *cluster, *freq)
+		X, names, err := workloadRateMatrix(hwRuns, cl, f)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		dend := stats.Agglomerate(stats.EuclideanDist(stats.Standardize(X)), stats.AverageLinkage)
-		fmt.Println("=== Workload dendrogram (HCA of HW PMC rates) ===")
-		fmt.Println(report.Dendrogram(dend, names))
+		fmt.Fprintln(stdout, "=== Workload dendrogram (HCA of HW PMC rates) ===")
+		fmt.Fprintln(stdout, report.Dendrogram(dend, names))
 	}
 	if on("consistency") {
-		fc, err := session.ErrorConsistency()
+		fc, err := gemstone.ErrorConsistency(hwRuns, simRuns, cl)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println("=== Cross-frequency error-pattern consistency ===")
+		fmt.Fprintln(stdout, "=== Cross-frequency error-pattern consistency ===")
 		for _, p := range fc.Pairs {
-			fmt.Printf("  %4d vs %4d MHz: pearson %+.2f  rank %+.2f\n",
+			fmt.Fprintf(stdout, "  %4d vs %4d MHz: pearson %+.2f  rank %+.2f\n",
 				p.FreqA, p.FreqB, p.Pearson, p.Spearman)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if on("gem5corr") {
-		rows, err := session.Gem5EventCorrelation(0.3, 8)
+		rows, err := gemstone.Gem5EventCorrelation(hwRuns, simRuns, cl, f, 0.3, 8)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Gem5Correlation(rows))
+		fmt.Fprintln(stdout, report.Gem5Correlation(rows))
 	}
 	if on("regress") {
 		sw := gemstone.DefaultStepwiseOptions()
 		sw.MaxTerms = 8
-		pmcRep, err := session.ErrorRegressionPMC(sw)
+		pmcRep, err := gemstone.ErrorRegressionPMC(hwRuns, simRuns, cl, f, sw)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		g5Rep, err := session.ErrorRegressionGem5(sw)
+		g5Rep, err := gemstone.ErrorRegressionGem5(hwRuns, simRuns, cl, f, sw)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Regression(pmcRep, g5Rep))
+		fmt.Fprintln(stdout, report.Regression(pmcRep, g5Rep))
 	}
 	if on("fig6") {
 		excl := pathologicalCluster(clustering)
-		ratios, bp, err := session.EventComparison(clustering.Labels, nil, gemstone.DefaultMapping(), excl)
+		ratios, bp, err := gemstone.EventComparison(hwRuns, simRuns, cl, f,
+			clustering.Labels, nil, gemstone.DefaultMapping(), excl)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Fig6(ratios, bp))
+		fmt.Fprintln(stdout, report.Fig6(ratios, bp))
 	}
 
 	var model *gemstone.PowerModel
+	restricted := gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()}
 	if on("power") || on("fig7") || on("fig8") || on("versions") {
-		logger.Info("building power model", "cluster", *cluster, "pool", "restricted")
-		model, err = session.BuildPowerModel(
-			gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()})
-		if err != nil {
-			fatal(err)
+		logger.Info("building power model", "cluster", cl, "pool", "restricted")
+		if model, err = gemstone.BuildPowerModel(hwRuns, cl, restricted); err != nil {
+			return fail(err)
 		}
 	}
 	if model == nil && *ledgerPath != "" {
 		// The ledger tracks power-model quality (R², SER) even when no
 		// power analysis was requested; tolerate failure rather than lose
 		// the timing results.
-		logger.Info("building power model for the ledger", "cluster", *cluster)
-		if m, merr := session.BuildPowerModel(
-			gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()}); merr == nil {
+		logger.Info("building power model for the ledger", "cluster", cl)
+		if m, merr := gemstone.BuildPowerModel(hwRuns, cl, restricted); merr == nil {
 			model = m
 		} else {
 			logger.Warn("ledger: power model unavailable", "err", merr)
 		}
 	}
 	if on("power") {
-		fmt.Println(report.PowerModel(model))
-		fmt.Println("run-time gem5 equation:")
-		fmt.Println("  " + model.Equation(gemstone.DefaultMapping()))
-		fmt.Println()
-		writeCSV(*csvDir, "power_model.csv", func() ([]string, [][]string) { return report.PowerModelCSV(model) })
+		fmt.Fprintln(stdout, report.PowerModel(model))
+		fmt.Fprintln(stdout, "run-time gem5 equation:")
+		fmt.Fprintln(stdout, "  "+model.Equation(gemstone.DefaultMapping()))
+		fmt.Fprintln(stdout)
+		if err := writeCSV(*csvDir, "power_model.csv", func() ([]string, [][]string) { return report.PowerModelCSV(model) }); err != nil {
+			return fail(err)
+		}
 	}
 	if on("fig7") {
-		an, err := session.AnalyzePowerEnergy(model, gemstone.DefaultMapping(), clustering.Labels)
+		an, err := gemstone.AnalyzePowerEnergy(model, gemstone.DefaultMapping(),
+			hwRuns, simRuns, cl, f, clustering.Labels)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Fig7(an))
+		fmt.Fprintln(stdout, report.Fig7(an))
 	}
 	if on("fig8") {
-		models := map[string]*gemstone.PowerModel{*cluster: model}
-		baseFreq := gemstone.ExperimentFrequencies(*cluster)[0]
+		models := map[string]*gemstone.PowerModel{cl: model}
+		baseFreq := gemstone.ExperimentFrequencies(cl)[0]
 		hwCurve, err := gemstone.ScalingAnalysis(hwRuns, models, gemstone.DefaultMapping(),
-			false, clustering.Labels, *cluster, baseFreq)
+			false, clustering.Labels, cl, baseFreq)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		simCurve, err := gemstone.ScalingAnalysis(simRuns, models, gemstone.DefaultMapping(),
-			true, clustering.Labels, *cluster, baseFreq)
+			true, clustering.Labels, cl, baseFreq)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Fig8(hwCurve, simCurve))
+		fmt.Fprintln(stdout, report.Fig8(hwCurve, simCurve))
 	}
 	if on("versions") {
 		other := gemstone.V2
@@ -566,18 +612,18 @@ func main() {
 		logger.Info("running gem5 simulations for the version comparison", "version", fmt.Sprint(other))
 		otherRuns, err := collect(gemstone.Gem5Platform(other), opt())
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		v1Runs, v2Runs := simRuns, otherRuns
 		if ver == gemstone.V2 {
 			v1Runs, v2Runs = otherRuns, simRuns
 		}
-		vc, err := session.WithSim(v1Runs).CompareVersions(v2Runs,
+		vc, err := gemstone.CompareVersions(hwRuns, v1Runs, v2Runs, cl, f,
 			model, gemstone.DefaultMapping(), clustering.Labels)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(report.Versions(vc))
+		fmt.Fprintln(stdout, report.Versions(vc))
 	}
 
 	if validator != nil {
@@ -591,9 +637,9 @@ func main() {
 		entry := buildLedgerEntry(ledgerInputs{
 			hw:         gemstone.HardwarePlatform(),
 			sim:        gemstone.Gem5Platform(ver),
-			version:    *version,
-			cluster:    *cluster,
-			freqMHz:    *freq,
+			version:    ver,
+			cluster:    cl,
+			freqMHz:    f,
 			fidelity:   fid,
 			screened:   *screen,
 			flagged:    flagged,
@@ -607,7 +653,7 @@ func main() {
 			coord:      coord,
 		})
 		if err := gemstone.OpenLedger(*ledgerPath).Append(entry); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		logger.Info("ledger entry appended", "path", *ledgerPath,
 			"workloads", len(entry.Results.Workloads),
@@ -632,13 +678,13 @@ func main() {
 		}
 		logger.Info("campaigns total", attrs...)
 	}
-	exit(0)
+	return 0
 }
 
 // ledgerInputs gathers everything buildLedgerEntry distils into a record.
 type ledgerInputs struct {
 	hw, sim    *gemstone.Platform
-	version    int
+	version    gem5.Version
 	cluster    string
 	freqMHz    int
 	fidelity   gemstone.Fidelity
@@ -674,7 +720,7 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 		ModelPlatform:    simCfg.Name,
 		HWFingerprint:    hwCfg.Fingerprint(),
 		ModelFingerprint: simCfg.Fingerprint(),
-		Gem5Version:      in.version,
+		Gem5Version:      int(in.version),
 		Cluster:          in.cluster,
 		FreqMHz:          in.freqMHz,
 		Workloads:        names,
@@ -715,7 +761,7 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 		results = gemstone.LedgerResults{Cluster: in.cluster, FreqMHz: in.freqMHz}
 	}
 	results.Power = ledger.PowerFromModel(in.model)
-	results.Latency = ledgerLatency(in.version, in.cluster, in.freqMHz)
+	results.Latency = ledger.LatencyFromPoints(latencyCurves(in.version, in.cluster, in.freqMHz))
 
 	entry := gemstone.LedgerEntry{Manifest: man, Results: results}
 	if in.validator != nil {
@@ -726,23 +772,20 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 	return entry
 }
 
-// ledgerLatency runs the lmbench-style latency sweep on both platforms
-// for the ledger's Fig. 4 digest.
-func ledgerLatency(version int, cluster string, freqMHz int) []ledger.LatencyDigest {
-	ver := gemstone.V1
-	if version == 2 {
-		ver = gemstone.V2
+// latencyStride is the access stride of the Fig. 4 latency sweep.
+const latencyStride = 256
+
+// latencyCurves runs the Fig. 4 lmbench-style latency sweep on the
+// cluster's hardware reference and on its gem5 model (the figure and the
+// ledger's latency digest).
+func latencyCurves(ver gem5.Version, cluster string, freqMHz int) (hwCurve, simCurve []gemstone.LatencyPoint) {
+	hwCfg, simCfg := gemstone.HardwareA15(), gemstone.Gem5Big(ver)
+	if cluster == gemstone.ClusterA7 {
+		hwCfg, simCfg = gemstone.HardwareA7(), gemstone.Gem5LITTLE(ver)
 	}
 	sizes := gemstone.DefaultLatencySizes()
-	var hwCurve, simCurve []gemstone.LatencyPoint
-	if cluster == gemstone.ClusterA15 {
-		hwCurve = gemstone.MemoryLatency(gemstone.HardwareA15(), freqMHz, 256, sizes)
-		simCurve = gemstone.MemoryLatency(gemstone.Gem5Big(ver), freqMHz, 256, sizes)
-	} else {
-		hwCurve = gemstone.MemoryLatency(gemstone.HardwareA7(), freqMHz, 256, sizes)
-		simCurve = gemstone.MemoryLatency(gemstone.Gem5LITTLE(ver), freqMHz, 256, sizes)
-	}
-	return ledger.LatencyFromPoints(hwCurve, simCurve)
+	return gemstone.MemoryLatency(hwCfg, freqMHz, latencyStride, sizes),
+		gemstone.MemoryLatency(simCfg, freqMHz, latencyStride, sizes)
 }
 
 // workloadRateMatrix rebuilds the standardisable PMC-rate matrix of the
@@ -803,20 +846,22 @@ func dumpStatsFiles(dir string, rs *gemstone.RunSet) error {
 	return nil
 }
 
-func writeCSV(dir, name string, gen func() ([]string, [][]string)) {
+// writeCSV writes one CSV artefact into dir; an empty dir writes nothing.
+func writeCSV(dir, name string, gen func() ([]string, [][]string)) error {
 	if dir == "" {
-		return
+		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
 	header, rows := gen()
-	if err := report.WriteCSV(f, header, rows); err != nil {
-		fatal(err)
+	err = report.WriteCSV(f, header, rows)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	return err
 }

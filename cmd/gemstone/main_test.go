@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"log/slog"
 	"strings"
 	"testing"
@@ -59,5 +60,85 @@ func TestProgressObserverRateAndETA(t *testing.T) {
 	}
 	if !strings.Contains(out, "eta=2s") {
 		t.Fatalf("missing eta=2s:\n%s", out)
+	}
+}
+
+// TestModelcheckPass runs the Section VII gate on a trimmed suite with
+// loose bounds: it must print the validation summary and PASS, exit 0.
+func TestModelcheckPass(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := modelcheckMain([]string{"-workloads", "2", "-max-mape", "1000", "-max-abs-mpe", "1000"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "=== modelcheck gem5 v1") || !strings.Contains(out, "PASS: within bounds") {
+		t.Fatalf("missing summary or verdict:\n%s", out)
+	}
+}
+
+// TestModelcheckFail pins the gate's failure path: a zero MAPE bound
+// trips, the verdict goes to stdout and the exit status is 1.
+func TestModelcheckFail(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := modelcheckMain([]string{"-workloads", "2", "-max-mape", "0"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "FAIL: MAPE") || strings.Contains(out, "PASS") {
+		t.Fatalf("want a MAPE FAIL verdict and no PASS:\n%s", out)
+	}
+}
+
+// TestUsageErrors pins exit status 2, an empty stdout and a named cause
+// for every rejected invocation — before any simulation starts. A bad
+// -version used to fall back to V1 silently and an unknown analysis name
+// used to run the whole campaign and print nothing.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		main func(args []string, stdout, stderr io.Writer) int
+		args []string
+		want string
+	}{
+		{"pipeline version", run, []string{"-version", "3"}, "unknown gem5 version 3"},
+		{"pipeline analysis", run, []string{"-analyses", "validate,fig9"}, "valid: all,none,validate,fig3"},
+		{"pipeline cluster", run, []string{"-cluster", "m7", "-analyses", "fig4"}, `unknown cluster "m7"`},
+		{"pipeline flag", run, []string{"-bogus"}, "flag provided but not defined"},
+		{"modelcheck version", modelcheckMain, []string{"-version", "3"}, "unknown gem5 version 3"},
+		{"modelcheck log format", modelcheckMain, []string{"-log-format", "xml"}, "unknown log format"},
+		{"eventdiag version", eventdiagMain, []string{"-version", "0"}, "unknown gem5 version 0"},
+		{"powmon flag", powmonMain, []string{"-bogus"}, "flag provided but not defined"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := tc.main(tc.args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2; stderr:\n%s", code, &stderr)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("usage error wrote to stdout:\n%s", &stdout)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr lacks %q:\n%s", tc.want, &stderr)
+			}
+		})
+	}
+}
+
+// TestFig4RunsNoCampaign pins that -analyses fig4 prints the Fig. 4
+// latency curves without collecting a single run: no campaign is logged
+// and no campaign total is reported.
+func TestFig4RunsNoCampaign(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-analyses", "fig4", "-cluster", "a7"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, &stderr)
+	}
+	out := stdout.String()
+	if !strings.HasPrefix(out, "=== Fig. 4") || !strings.Contains(out, "hw-a7") || !strings.Contains(out, "gem5-a7") {
+		t.Fatalf("missing A7 Fig. 4 curves:\n%s", out)
+	}
+	if errOut := stderr.String(); strings.Contains(errOut, "collecting") || strings.Contains(errOut, "campaigns total") {
+		t.Fatalf("fig4 alone ran a campaign:\n%s", errOut)
 	}
 }

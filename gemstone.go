@@ -12,18 +12,19 @@
 //
 // The typical flow mirrors the paper's Fig. 1:
 //
-//	hwRuns, _ := gemstone.Collect(gemstone.HardwarePlatform(), gemstone.CollectOptions{})  // Experiment 1/3/4
-//	simRuns, _ := gemstone.Collect(gemstone.Gem5Platform(gemstone.V1), gemstone.CollectOptions{}) // Experiment 2
-//	s := gemstone.NewSession(hwRuns, simRuns, gemstone.ClusterA15, 1000)
-//	summary, _ := s.Validate()
-//	clusters, _ := s.ClusterWorkloads(16)
-//	model, _ := s.BuildPowerModel(gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()})
-//	energy, _ := s.AnalyzePowerEnergy(model, gemstone.DefaultMapping(), clusters.Labels)
+//	ctx := context.Background()
+//	hwRuns, _ := gemstone.Collect(ctx, gemstone.HardwarePlatform(), gemstone.CollectOptions{})        // Experiment 1/3/4
+//	simRuns, _ := gemstone.Collect(ctx, gemstone.Gem5Platform(gemstone.V1), gemstone.CollectOptions{}) // Experiment 2
+//	summary, _ := gemstone.Validate(hwRuns, simRuns, gemstone.ClusterA15)
+//	clusters, _ := gemstone.ClusterWorkloads(hwRuns, simRuns, gemstone.ClusterA15, 1000, 16)
+//	model, _ := gemstone.BuildPowerModel(hwRuns, gemstone.ClusterA15,
+//		gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()})
+//	energy, _ := gemstone.AnalyzePowerEnergy(model, gemstone.DefaultMapping(),
+//		hwRuns, simRuns, gemstone.ClusterA15, 1000, clusters.Labels)
 //
-// Every Session method also exists as a top-level function taking the run
-// sets and operating point explicitly (gemstone.Validate, ...); the two
-// surfaces are interchangeable. Campaigns distribute across machines with
-// internal/dist's coordinator and the gemstoned worker daemon.
+// Each analysis takes the run sets and its operating point explicitly.
+// Campaigns distribute across machines with internal/dist's coordinator
+// and the gemstoned worker daemon.
 package gemstone
 
 import (
@@ -304,14 +305,6 @@ func Collect(ctx context.Context, pl *Platform, opt CollectOptions) (*RunSet, er
 	return core.Collect(ctx, pl, opt)
 }
 
-// CollectContext is the former name of Collect.
-//
-// Deprecated: call Collect — it has carried the context since the
-// fidelity-tier redesign collapsed the Collect/CollectContext split.
-func CollectContext(ctx context.Context, pl *Platform, opt CollectOptions) (*RunSet, error) {
-	return core.Collect(ctx, pl, opt)
-}
-
 // Screen runs a screen-then-resimulate campaign: the full grid on both
 // platforms at the atomic tier, error screening (top-K |percent error|
 // plus robust outliers), then detailed re-simulation of only the flagged
@@ -321,16 +314,11 @@ func Screen(ctx context.Context, hwPl, simPl *Platform, opt ScreenOptions) (*Scr
 	return core.Screen(ctx, hwPl, simPl, opt)
 }
 
-// CacheKey returns the content-addressed run-cache key of one
-// detailed-tier (platform, workload, cluster, frequency) run: a stable
-// hash of the workload profile, the full cluster configuration
-// fingerprint, the platform identity and the DVFS point.
-func CacheKey(pl *Platform, prof WorkloadProfile, cluster string, freqMHz int) (string, error) {
-	return core.CacheKey(pl, prof, cluster, freqMHz)
-}
-
-// CacheKeyFidelity is CacheKey with an explicit simulation tier; keys of
-// different tiers never collide.
+// CacheKeyFidelity returns the content-addressed run-cache key of one
+// (platform, workload, cluster, frequency) run at simulation tier fid: a
+// stable hash of the workload profile, the full cluster configuration
+// fingerprint, the platform identity, the DVFS point and the tier. Keys
+// of different tiers never collide.
 func CacheKeyFidelity(pl *Platform, prof WorkloadProfile, cluster string, freqMHz int, fid Fidelity) (string, error) {
 	return core.CacheKeyFidelity(pl, prof, cluster, freqMHz, fid)
 }

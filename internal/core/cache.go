@@ -37,17 +37,12 @@ import (
 // serve each other — not even entries cached before fidelity existed.
 const cacheKeyScheme = 3
 
-// CacheKey returns the content-addressed cache key of one detailed-tier
-// (platform, workload, cluster, frequency) run. The key covers the full
-// cluster configuration fingerprint, so any model change — a gem5 defect
-// fix, a DVFS-table edit, a predictor resize — produces a different key.
-// For a non-detailed tier use CacheKeyFidelity.
-func CacheKey(pl *platform.Platform, prof workload.Profile, cluster string, freqMHz int) (string, error) {
-	return CacheKeyFidelity(pl, prof, cluster, freqMHz, platform.FidelityDetailed)
-}
-
-// CacheKeyFidelity is CacheKey with an explicit simulation tier. Keys of
-// different tiers never collide: the tier is part of the hashed tuple.
+// CacheKeyFidelity returns the content-addressed cache key of one
+// (platform, workload, cluster, frequency) run at simulation tier fid. The
+// key covers the full cluster configuration fingerprint, so any model
+// change — a gem5 defect fix, a DVFS-table edit, a predictor resize —
+// produces a different key. Keys of different tiers never collide: the
+// tier is part of the hashed tuple.
 func CacheKeyFidelity(pl *platform.Platform, prof workload.Profile, cluster string, freqMHz int, fid platform.Fidelity) (string, error) {
 	cc, err := pl.Cluster(cluster)
 	if err != nil {

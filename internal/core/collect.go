@@ -89,8 +89,8 @@ type CollectOptions struct {
 	// changes the collected data — only the wall time.
 	Workers int
 	// Cache, when non-nil, memoises runs under content-addressed keys
-	// (see CacheKey): a hit replays the archived measurement instead of
-	// simulating. Warm-cache campaigns cost cache lookups only.
+	// (see CacheKeyFidelity): a hit replays the archived measurement
+	// instead of simulating. Warm-cache campaigns cost cache lookups only.
 	Cache RunCache
 	// Observer, when non-nil, receives per-run lifecycle callbacks and
 	// the campaign's aggregate statistics.
@@ -210,20 +210,11 @@ func (e *CollectError) Unwrap() []error {
 	return errs
 }
 
-// CollectContext is the former name of Collect, kept as a thin shim for
-// the pre-fidelity API surface.
-//
-// Deprecated: call Collect — it has carried the context since the
-// fidelity-tier redesign collapsed the Collect/CollectContext split.
-func CollectContext(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
-	return Collect(ctx, pl, opt)
-}
-
 // PlannedJob is one schedulable unit of a campaign: the workload profile
 // to run, the run key naming the (workload, cluster, frequency) point,
 // and — when the planning options carry a cache — the content-addressed
 // cache key of the measurement. The distributed coordinator
-// (internal/dist) ships PlannedJobs to remote workers; CollectContext
+// (internal/dist) ships PlannedJobs to remote workers; Collect
 // feeds them to its local worker pool. Either way the job list is
 // identical, which is what makes a distributed campaign bit-for-bit
 // equivalent to a local one.
@@ -231,7 +222,8 @@ type PlannedJob struct {
 	Profile workload.Profile
 	Key     RunKey
 	// CacheKey is the content-addressed run-cache key ("" when the
-	// planning options had no cache; derive one with CacheKey if needed).
+	// planning options had no cache; derive one with CacheKeyFidelity
+	// if needed).
 	CacheKey string
 }
 

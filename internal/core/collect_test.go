@@ -32,8 +32,8 @@ func archiveBytes(t *testing.T, rs *RunSet) []byte {
 }
 
 // TestCollectDeterministicAcrossWorkerCounts pins the doc-comment claim
-// of CollectContext: a GOMAXPROCS-parallel campaign is byte-identical
-// (via the canonical archive encoding) to a sequential one.
+// of Collect: a GOMAXPROCS-parallel campaign is byte-identical (via the
+// canonical archive encoding) to a sequential one.
 func TestCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping four-campaign determinism sweep in -short mode")
@@ -109,15 +109,15 @@ func TestCollectStopsRemainingJobsAfterFirstError(t *testing.T) {
 	}
 }
 
-// TestCollectContextCancellation asserts a pre-cancelled context stops
-// the campaign before any job runs and surfaces context.Canceled.
-func TestCollectContextCancellation(t *testing.T) {
+// TestCollectCancellation asserts a pre-cancelled context stops the
+// campaign before any job runs and surfaces context.Canceled.
+func TestCollectCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	metrics := NewMetrics()
 	opt := smallCampaign()
 	opt.Observer = metrics
-	_, err := CollectContext(ctx, hw.Platform(), opt)
+	_, err := Collect(ctx, hw.Platform(), opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in the error chain, got %v", err)
 	}

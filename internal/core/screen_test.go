@@ -118,12 +118,14 @@ func TestCacheKeyFidelitySeparation(t *testing.T) {
 	if det == atom {
 		t.Fatalf("tiers share a cache key: %s", det)
 	}
-	legacy, err := CacheKey(pl, prof, hw.ClusterA15, 1000)
+	// Pre-fidelity callers leave the tier at its zero value; their keys
+	// must stay the detailed-tier keys.
+	legacy, err := CacheKeyFidelity(pl, prof, hw.ClusterA15, 1000, platform.Fidelity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if legacy != det {
-		t.Fatalf("legacy CacheKey %s is not the detailed-tier key %s", legacy, det)
+		t.Fatalf("zero-tier key %s is not the detailed-tier key %s", legacy, det)
 	}
 	if _, err := CacheKeyFidelity(pl, prof, hw.ClusterA15, 1000, platform.Fidelity(99)); err == nil {
 		t.Fatal("CacheKeyFidelity accepted an invalid tier")

@@ -72,7 +72,7 @@ type WorkerStats struct {
 // must expire and reassign independently of the other's.
 type LeaseKey struct {
 	// Campaign is the campaign the assignment belongs to (see
-	// CollectNamed).
+	// CollectOptions.Name).
 	Campaign string
 	// Job is the content-addressed job ID (the run-cache key).
 	Job string
@@ -109,7 +109,7 @@ type Coordinator struct {
 	mHTTPErrors *obs.Counter
 	mDuplicates *obs.Counter
 
-	// seq names anonymous campaigns (Collect without CollectNamed).
+	// seq names anonymous campaigns (Collect with an empty opt.Name).
 	seq atomic.Int64
 
 	mu       sync.Mutex
@@ -452,23 +452,11 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 // (per-worker capacity is enforced fleet-wide, so overlapping campaigns
 // queue for slots instead of overloading workers).
 func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
+	start := time.Now()
 	name := opt.Name
 	if name == "" {
 		name = fmt.Sprintf("campaign-%d", c.seq.Add(1))
 	}
-	return c.collectNamed(ctx, name, pl, opt)
-}
-
-// CollectNamed is Collect with the campaign name as a parameter — the
-// pre-fidelity surface, kept as a thin shim.
-//
-// Deprecated: set CollectOptions.Name and call Collect.
-func (c *Coordinator) CollectNamed(ctx context.Context, name string, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
-	return c.collectNamed(ctx, name, pl, opt)
-}
-
-func (c *Coordinator) collectNamed(ctx context.Context, name string, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
-	start := time.Now()
 	root := opt.Tracer.Start("collect",
 		obs.String("platform", pl.Name()), obs.String("campaign", name),
 		obs.Bool("distributed", true))
@@ -746,7 +734,7 @@ func (cp *campaign) record(i int, m platform.Measurement, simTime time.Duration,
 }
 
 // fail records a terminal run failure and stops the campaign, mirroring
-// core.CollectContext's fail-fast: the remaining jobs become skipped.
+// core.Collect's fail-fast: the remaining jobs become skipped.
 func (cp *campaign) fail(i int, err error) {
 	re := core.RunError{Key: cp.jobs[i].Key, Err: err}
 	cp.mu.Lock()

@@ -31,12 +31,14 @@ func TestJobIDFidelitySeparation(t *testing.T) {
 	if det == atom {
 		t.Fatalf("detailed and atomic job IDs alias: %s", det)
 	}
-	legacy, err := core.CacheKey(pl, prof, hw.ClusterA15, 1000)
+	// A job from a pre-fidelity coordinator carries the zero tier; its ID
+	// must stay the detailed-tier ID.
+	legacy, err := core.CacheKeyFidelity(pl, prof, hw.ClusterA15, 1000, platform.Fidelity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if legacy != det {
-		t.Fatalf("legacy CacheKey %s != detailed-tier key %s", legacy, det)
+		t.Fatalf("zero-tier job ID %s != detailed-tier ID %s", legacy, det)
 	}
 }
 

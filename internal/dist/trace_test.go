@@ -199,7 +199,8 @@ func TestFleetTraceStitching(t *testing.T) {
 	opt := campaignOpts(2)
 	opt.Tracer = tr
 	opt.Trace = obs.TraceContext{Campaign: "trace-test", Tenant: "acme"}
-	rs, err := coord.CollectNamed(context.Background(), "trace-test", hw.Platform(), opt)
+	opt.Name = "trace-test"
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,8 @@ func TestTraceClockSkewNegativeOffset(t *testing.T) {
 			tr := obs.NewTracer()
 			opt := campaignOpts(2)
 			opt.Tracer = tr
-			if _, err := coord.CollectNamed(context.Background(), "skew-test", hw.Platform(), opt); err != nil {
+			opt.Name = "skew-test"
+			if _, err := coord.Collect(context.Background(), hw.Platform(), opt); err != nil {
 				t.Fatal(err)
 			}
 
@@ -317,7 +319,8 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 	tr := obs.NewTracer()
 	opt := campaignOpts(2)
 	opt.Tracer = tr
-	rs, err := coord.CollectNamed(context.Background(), "kill-test", hw.Platform(), opt)
+	opt.Name = "kill-test"
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +376,7 @@ func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := core.CacheKey(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz)
+	id, err := core.CacheKeyFidelity(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz, platform.FidelityDetailed)
 	if err != nil {
 		t.Fatal(err)
 	}

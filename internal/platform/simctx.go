@@ -46,7 +46,7 @@ type clusterSim struct {
 // restores just-constructed state, so results are bit-identical to fresh
 // construction — the golden equivalence tests pin this) and a one-entry
 // cache of the most recently expanded instruction stream, which pays off
-// when consecutive runs share a workload (core.CollectContext orders its
+// when consecutive runs share a workload (core.Collect orders its
 // jobs workload-major for exactly this reason).
 //
 // A SimContext is not safe for concurrent use; create one per worker.

@@ -264,7 +264,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			t.Errorf("%s: sim archive differs from local collect (%d vs %d bytes)", tn, len(gotSim), len(wantSim))
 		}
 
-		// The analysis surface matches a local Session.
+		// The analysis surface matches a local analysis of the same runs.
 		status, body := fetch(t, api.URL, tn, "/v1/campaigns/"+ids[i]+"/validation")
 		if status != http.StatusOK {
 			t.Fatalf("%s: validation status %d: %s", tn, status, body)
