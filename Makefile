@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check quick build vet test serve-test trace-smoke screen-smoke bench bench-compare loadtest loadtest-soak fuzz clean watch experiments baseline
+.PHONY: check quick build vet test serve-test trace-smoke screen-smoke bench bench-compare bench-scaling loadtest loadtest-soak fuzz clean watch experiments baseline
 
 check: build vet test trace-smoke screen-smoke
 
@@ -72,6 +72,12 @@ bench-compare:
 	sh scripts/bench.sh -serve -c BENCH_serve.json BENCH_serve_new.json
 	sh scripts/bench.sh -atomic -c BENCH_atomic.json BENCH_atomic_new.json
 	$(GO) run ./cmd/gemwatch -bench-atomic BENCH_atomic_new.json -bench-atomic-base BENCH_atomic.json
+
+# Multi-core scaling row: the cold detailed and atomic campaigns at 1, 2
+# and 4 procs. Record the output with the host (CPU model, nproc,
+# GOMAXPROCS, Go version, commit) in README's Performance section.
+bench-scaling:
+	$(GO) test -run '^$$' -bench 'BenchmarkCollect_ColdCache(Atomic)?$$' -cpu 1,2,4 -benchtime 2x -benchmem .
 
 # gemload smoke: a short closed-loop mixed load (cold/warm/events/
 # analysis) against an in-process two-worker fleet; fails unless every

@@ -7,9 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,6 +37,14 @@ func (k RunKey) String() string {
 	return fmt.Sprintf("%s/%s@%dMHz", k.Workload, k.Cluster, k.FreqMHz)
 }
 
+// compareRunKeys orders run keys by workload, then cluster, then
+// frequency — the canonical order of archives and of every float
+// aggregation over a run set.
+func compareRunKeys(a, b RunKey) int {
+	return cmp.Or(cmp.Compare(a.Workload, b.Workload),
+		cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.FreqMHz, b.FreqMHz))
+}
+
 // RunSet holds every measurement collected from one platform.
 type RunSet struct {
 	Platform string
@@ -49,6 +59,18 @@ func (rs *RunSet) Get(key RunKey) (platform.Measurement, error) {
 			rs.Platform, key.Workload, key.Cluster, key.FreqMHz)
 	}
 	return m, nil
+}
+
+// sortedKeys returns the set's run keys in compareRunKeys order. Analyses
+// that sum floats iterate this instead of the map, so repeated calls agree
+// to the last bit.
+func (rs *RunSet) sortedKeys() []RunKey {
+	keys := make([]RunKey, 0, len(rs.Runs))
+	for k := range rs.Runs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareRunKeys)
+	return keys
 }
 
 // Workloads returns the sorted workload names present in the set.
@@ -210,14 +232,13 @@ func (e *CollectError) Unwrap() []error {
 	return errs
 }
 
-// PlannedJob is one schedulable unit of a campaign: the workload profile
-// to run, the run key naming the (workload, cluster, frequency) point,
-// and — when the planning options carry a cache — the content-addressed
-// cache key of the measurement. The distributed coordinator
-// (internal/dist) ships PlannedJobs to remote workers; Collect
-// feeds them to its local worker pool. Either way the job list is
-// identical, which is what makes a distributed campaign bit-for-bit
-// equivalent to a local one.
+// PlannedJob is one run of a campaign: the workload profile to run, the
+// run key naming the (workload, cluster, frequency) point, and — when the
+// planning options carry a cache — the content-addressed cache key of the
+// measurement. The distributed coordinator (internal/dist) ships
+// PlannedJobs to remote workers; Collect feeds them to its local worker
+// pool. Either way the job list is identical, which is what makes a
+// distributed campaign bit-for-bit equivalent to a local one.
 type PlannedJob struct {
 	Profile workload.Profile
 	Key     RunKey
@@ -228,11 +249,9 @@ type PlannedJob struct {
 }
 
 // PlanCampaign fills opt's defaults against pl and expands it into the
-// campaign's ordered job list. Jobs are ordered workload-major (workload,
-// then cluster, then frequency) so that consecutive jobs pulled by one
-// worker usually share a workload: the worker's SimContext then replays
-// its cached expanded instruction stream instead of regenerating it per
-// run. The ordering never changes the collected data — runs are
+// campaign's ordered job list: workload, then cluster, then frequency.
+// Collect schedules contiguous runs of this list as units (see
+// unitBounds). The ordering never changes the collected data — runs are
 // independent and individually deterministic.
 func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, error) {
 	if err := opt.fill(pl); err != nil {
@@ -270,20 +289,56 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 	return jobs, nil
 }
 
+// unitBounds splits a PlanCampaign job list into Collect's scheduling
+// units and returns their boundaries: unit u is jobs[b[u]:b[u+1]]. One
+// worker runs a unit start to end on one SimContext, whose reusable state
+// is keyed by what consecutive jobs share: the expanded instruction
+// stream by workload, each cluster's DVFS trace and atomic anchors by
+// (workload, cluster). So the rule is: the unit is the largest that still
+// gives every worker work — the whole workload; the (workload, cluster)
+// sweep when there are fewer workloads than workers; the single point
+// when there are fewer sweeps too.
+func unitBounds(jobs []PlannedJob, workers int) []int {
+	sameUnit := []func(a, b RunKey) bool{
+		func(a, b RunKey) bool { return a.Workload == b.Workload },
+		func(a, b RunKey) bool { return a.Workload == b.Workload && a.Cluster == b.Cluster },
+	}
+	for _, same := range sameUnit {
+		b := []int{0}
+		for i := 1; i < len(jobs); i++ {
+			if !same(jobs[i-1].Key, jobs[i].Key) {
+				b = append(b, i)
+			}
+		}
+		b = append(b, len(jobs))
+		if len(b)-1 >= workers {
+			return b
+		}
+	}
+	b := make([]int, len(jobs)+1)
+	for i := range b {
+		b[i] = i
+	}
+	return b
+}
+
 // Collect runs the campaign described by opt on pl and returns the run
 // set. It reproduces Experiment 1 (and, on sensored platforms, 3 and 4 —
 // the power data rides along with the PMU samples) or Experiment 2 when
 // pl is a gem5 model, at the simulation tier selected by opt.Fidelity.
 //
 // Runs are independent simulations, so the campaign fans out across
-// opt.Workers workers (GOMAXPROCS by default); every run is individually
-// deterministic, so the resulting set is identical to a sequential
-// collection (TestCollectDeterministicAcrossWorkerCounts asserts this
-// byte-for-byte).
+// opt.Workers workers (GOMAXPROCS by default). Workers claim whole units
+// of jobs — a workload, a (workload, cluster) sweep or a single point, as
+// unitBounds decides — so the state a worker's SimContext reuses is built
+// once per unit. Every run is individually deterministic, so the
+// resulting set is identical to a sequential collection
+// (TestCollectDeterministicAcrossWorkerCounts asserts this byte-for-byte).
 //
 // The campaign stops early on the first run failure or when ctx is
 // cancelled: workers finish the runs already in flight and then abandon
-// the remaining jobs instead of burning CPU on a doomed campaign. In both
+// the remaining jobs, including the rest of their own unit, instead of
+// burning CPU on a doomed campaign. In both
 // cases the returned error is a *CollectError carrying the completed
 // partial results, the failed runs and the skipped jobs.
 func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
@@ -311,12 +366,9 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	bounds := unitBounds(jobs, workers)
+	units := len(bounds) - 1
+	workers = min(workers, units)
 
 	var (
 		mu     sync.Mutex // guards rs.Runs and failed
@@ -341,15 +393,24 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 			// jobs (Reset between runs), which removes nearly all per-run
 			// allocation from the campaign.
 			sim := platform.NewSimContext(pl)
+			// next hands out unit indices; [i, end) is the rest of the
+			// worker's current unit. Stop and cancellation are checked
+			// before every job, so a stopped campaign abandons units
+			// mid-way.
+			i, end := 0, 0
 			for {
 				if stop.Load() || ctx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
+				for i == end {
+					u := int(next.Add(1)) - 1
+					if u >= units {
+						return
+					}
+					i, end = bounds[u], bounds[u+1]
 				}
 				j := jobs[i]
+				i++
 				if opt.Cache != nil {
 					// Span attributes are built only when tracing: evaluating
 					// them unconditionally would pay a key-format and boxing

@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gemstone/internal/gem5"
 	"gemstone/internal/hw"
+	"gemstone/internal/obs"
+	"gemstone/internal/platform"
 	"gemstone/internal/workload"
 )
 
@@ -39,25 +45,178 @@ func TestCollectDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("skipping four-campaign determinism sweep in -short mode")
 	}
 	pl := hw.Platform()
-	opt := smallCampaign()
-	opt.Workers = 1
-	sequential, err := Collect(context.Background(), pl, opt)
-	if err != nil {
-		t.Fatal(err)
+	// One shape per scheduling unit: 8 workloads schedule whole
+	// workloads, one workload on two clusters schedules sweeps, one sweep
+	// schedules points.
+	shapes := map[string]func() CollectOptions{
+		"workloads": smallCampaign,
+		"sweeps":    oneWorkloadTwoClusters,
+		"points":    oneSweep,
 	}
-	seqBytes := archiveBytes(t, sequential)
-
-	for _, workers := range []int{0, 2, 7} {
-		opt := smallCampaign()
-		opt.Workers = workers
-		parallel, err := Collect(context.Background(), pl, opt)
+	for name, shape := range shapes {
+		opt := shape()
+		opt.Workers = 1
+		sequential, err := Collect(context.Background(), pl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(seqBytes, archiveBytes(t, parallel)) {
-			t.Fatalf("collection with %d workers diverged from sequential collection", workers)
+		seqBytes := archiveBytes(t, sequential)
+
+		for _, workers := range []int{0, 2, 7} {
+			opt := shape()
+			opt.Workers = workers
+			parallel, err := Collect(context.Background(), pl, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(seqBytes, archiveBytes(t, parallel)) {
+				t.Fatalf("%s: collection with %d workers diverged from sequential collection", name, workers)
+			}
 		}
 	}
+}
+
+// oneWorkloadTwoClusters is a one-workload campaign of two
+// (workload, cluster) sweeps, two points each.
+func oneWorkloadTwoClusters() CollectOptions {
+	return CollectOptions{
+		Workloads: workload.Validation()[:1],
+		Clusters:  []string{hw.ClusterA7, hw.ClusterA15},
+		Freqs:     map[string][]int{hw.ClusterA7: {600, 1000}, hw.ClusterA15: {600, 1000}},
+	}
+}
+
+// oneSweep is a campaign of a single (workload, cluster) sweep of four
+// points.
+func oneSweep() CollectOptions {
+	return CollectOptions{
+		Workloads: workload.Validation()[:1],
+		Clusters:  []string{hw.ClusterA15},
+		Freqs:     map[string][]int{hw.ClusterA15: {600, 1000, 1400, 1800}},
+	}
+}
+
+// TestUnitBounds pins the unit rule on planned job lists.
+func TestUnitBounds(t *testing.T) {
+	pl := hw.Platform()
+	cases := []struct {
+		name    string
+		opt     CollectOptions
+		workers int
+		want    []int
+	}{
+		// 8 workloads x 1 point: a workload per unit from 1 to 8 workers.
+		{"workloads", smallCampaign(), 8, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		// 1 workload x 2 clusters x 2 points.
+		{"whole workload", oneWorkloadTwoClusters(), 1, []int{0, 4}},
+		{"sweeps", oneWorkloadTwoClusters(), 2, []int{0, 2, 4}},
+		{"points", oneWorkloadTwoClusters(), 3, []int{0, 1, 2, 3, 4}},
+		{"one sweep", oneSweep(), 2, []int{0, 1, 2, 3, 4}},
+	}
+	for _, c := range cases {
+		jobs, err := PlanCampaign(pl, &c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := unitBounds(jobs, c.workers); !slices.Equal(got, c.want) {
+			t.Errorf("%s, %d workers: bounds %v, want %v", c.name, c.workers, got, c.want)
+		}
+	}
+}
+
+// rendezvous holds the campaign's first simulation until a second one
+// starts, so a test observes both workers simulating whenever the
+// schedule gives the second worker any work. It gives up after a
+// timeout, leaving the lane assertions to fail.
+type rendezvous struct {
+	*Metrics
+	calls   atomic.Int32
+	arrived chan struct{}
+}
+
+func newRendezvous() *rendezvous {
+	return &rendezvous{Metrics: NewMetrics(), arrived: make(chan struct{})}
+}
+
+func (r *rendezvous) RunStart(RunKey) {
+	switch r.calls.Add(1) {
+	case 1:
+		select {
+		case <-r.arrived:
+		case <-time.After(10 * time.Second):
+		}
+	case 2:
+		close(r.arrived)
+	}
+}
+
+// assertUnitLanes collects opt with two workers under a tracer, checks
+// that the runs of every group (as named by group) were simulated on a
+// single worker lane, and returns the number of distinct lanes used.
+func assertUnitLanes(t *testing.T, opt CollectOptions, group func(RunKey) string) int {
+	t.Helper()
+	pl := gem5.Platform(gem5.V1)
+	jobs, err := PlanCampaign(pl, &opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]RunKey{}
+	for _, j := range jobs {
+		keys[j.Key.String()] = j.Key
+	}
+	tr := obs.NewTracer()
+	opt.Tracer = tr
+	opt.Workers = 2
+	if _, err := Collect(context.Background(), pl, opt); err != nil {
+		t.Fatal(err)
+	}
+	groupLane := map[string]int{}
+	used := map[int]bool{}
+	simulated := 0
+	for _, ev := range tr.Events() {
+		for _, a := range ev.Attrs {
+			if ev.Name != "simulate" || a.Key != "key" {
+				continue
+			}
+			simulated++
+			g := group(keys[a.Value.(string)])
+			if prev, seen := groupLane[g]; seen && prev != ev.Lane {
+				t.Errorf("%s split across lanes %d and %d", g, prev, ev.Lane)
+			}
+			groupLane[g] = ev.Lane
+			used[ev.Lane] = true
+		}
+	}
+	if simulated != len(jobs) {
+		t.Fatalf("%d simulate spans for %d jobs", simulated, len(jobs))
+	}
+	return len(used)
+}
+
+// TestCollectUnitAffinity pins Collect's scheduling rule through the
+// trace: a worker claims the largest unit that still gives every worker
+// work.
+func TestCollectUnitAffinity(t *testing.T) {
+	t.Run("workload per worker", func(t *testing.T) {
+		opt := oneWorkloadTwoClusters()
+		opt.Workloads = workload.Validation()[:3]
+		assertUnitLanes(t, opt, func(k RunKey) string { return k.Workload })
+	})
+	t.Run("sweep per worker", func(t *testing.T) {
+		opt := oneWorkloadTwoClusters()
+		opt.Observer = newRendezvous()
+		sweep := func(k RunKey) string { return k.Workload + "/" + k.Cluster }
+		if n := assertUnitLanes(t, opt, sweep); n != 2 {
+			t.Errorf("two sweeps ran on %d lanes, want 2", n)
+		}
+	})
+	t.Run("point per worker", func(t *testing.T) {
+		opt := oneSweep()
+		opt.Observer = newRendezvous()
+		if n := assertUnitLanes(t, opt, RunKey.String); n != 2 {
+			t.Errorf("a four-point sweep ran on %d lanes, want 2", n)
+		}
+	})
 }
 
 // failingProfile passes campaign planning but fails platform validation
@@ -106,6 +265,81 @@ func TestCollectStopsRemainingJobsAfterFirstError(t *testing.T) {
 	if len(ce.Skipped)+len(ce.Failed)+len(ce.Partial.Runs) != total {
 		t.Fatalf("skipped %d + failed %d + done %d != %d jobs",
 			len(ce.Skipped), len(ce.Failed), len(ce.Partial.Runs), total)
+	}
+}
+
+// TestCollectFailFastInsideUnit injects a failure at the second point of
+// every workload's sweep: the worker that hits it abandons the rest of
+// its unit, and every job is accounted done, failed or skipped.
+func TestCollectFailFastInsideUnit(t *testing.T) {
+	const noSuchFreq = 1234 // no DVFS point: fails at run time
+	for _, workers := range []int{1, 2} {
+		_, err := Collect(context.Background(), gem5.Platform(gem5.V1), CollectOptions{
+			Workloads: workload.Validation()[:3],
+			Clusters:  []string{hw.ClusterA15},
+			Freqs:     map[string][]int{hw.ClusterA15: {1000, noSuchFreq, 1400}},
+			Workers:   workers,
+		})
+		var ce *CollectError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%d workers: want *CollectError, got %v", workers, err)
+		}
+		if got := len(ce.Skipped) + len(ce.Failed) + len(ce.Partial.Runs); got != 9 {
+			t.Fatalf("%d workers: skipped %d + failed %d + done %d != 9 jobs",
+				workers, len(ce.Skipped), len(ce.Failed), len(ce.Partial.Runs))
+		}
+		skipped := map[RunKey]bool{}
+		for _, k := range ce.Skipped {
+			skipped[k] = true
+		}
+		for _, f := range ce.Failed {
+			if f.Key.FreqMHz != noSuchFreq {
+				t.Fatalf("%d workers: unexpected failure %v", workers, f)
+			}
+			rest := RunKey{Workload: f.Key.Workload, Cluster: hw.ClusterA15, FreqMHz: 1400}
+			if !skipped[rest] {
+				t.Errorf("%d workers: %s, after the failure in its unit, was not skipped", workers, rest)
+			}
+		}
+		if workers == 1 && (len(ce.Partial.Runs) != 1 || len(ce.Failed) != 1) {
+			t.Errorf("1 worker: %d done, %d failed; want 1 and 1", len(ce.Partial.Runs), len(ce.Failed))
+		}
+	}
+
+	// The other worker stops inside its own unit too: its first run is
+	// held until the failure has been reported, and it must then abandon
+	// the rest of its sweep.
+	hold := &holdUntilError{Metrics: NewMetrics(), failed: make(chan struct{})}
+	_, err := Collect(context.Background(), gem5.Platform(gem5.V1), CollectOptions{
+		Workloads: append([]workload.Profile{failingProfile()}, workload.Validation()[:1]...),
+		Clusters:  []string{hw.ClusterA15},
+		Freqs:     map[string][]int{hw.ClusterA15: {600, 1000, 1400, 1800}},
+		Workers:   2,
+		Observer:  hold,
+	})
+	var ce *CollectError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *CollectError, got %v", err)
+	}
+	if len(ce.Failed) != 1 || len(ce.Partial.Runs) > 1 || len(ce.Skipped)+1+len(ce.Partial.Runs) != 8 {
+		t.Fatalf("%d done, %d failed, %d skipped of 8: the healthy unit did not stop after the failure",
+			len(ce.Partial.Runs), len(ce.Failed), len(ce.Skipped))
+	}
+}
+
+// holdUntilError holds every completed run until a run has failed.
+type holdUntilError struct {
+	*Metrics
+	once   sync.Once
+	failed chan struct{}
+}
+
+func (h *holdUntilError) RunError(RunKey, error) { h.once.Do(func() { close(h.failed) }) }
+
+func (h *holdUntilError) RunDone(RunKey, platform.Measurement, time.Duration) {
+	select {
+	case <-h.failed:
+	case <-time.After(10 * time.Second):
 	}
 }
 

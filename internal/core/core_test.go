@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -439,6 +440,37 @@ func TestScalingAnalysisFig8(t *testing.T) {
 	}
 	if en.Mean <= 1 {
 		t.Fatalf("energy must increase with frequency, got %.2f", en.Mean)
+	}
+}
+
+// TestScalingDeterministic requires the Fig. 8 analyses to agree to the
+// last bit across repeated calls on one run set: their float means must
+// not depend on map iteration order.
+func TestScalingDeterministic(t *testing.T) {
+	f := getFixture(t)
+	models := map[string]*power.Model{hw.ClusterA15: f.model}
+	call := func() string {
+		curve, err := ScalingAnalysis(f.hwRuns, models, power.DefaultMapping(), false,
+			f.clustering.Labels, hw.ClusterA15, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := fmt.Sprintf("%#v", *curve)
+		for _, metric := range []RatioMetric{MetricSpeedup, MetricEnergyIncrease} {
+			r, err := ClusterRatio(f.hwRuns, hw.ClusterA15, 600, 1000, f.clustering.Labels,
+				metric, models, power.DefaultMapping(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprintf("%#v", r)
+		}
+		return out
+	}
+	want := call()
+	for i := 1; i < 20; i++ {
+		if got := call(); got != want {
+			t.Fatalf("call %d differs from call 0:\n%s\n%s", i, got, want)
+		}
 	}
 }
 

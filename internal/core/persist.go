@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 
 	"gemstone/internal/platform"
 )
@@ -44,19 +43,9 @@ type runSetEnvelope struct {
 // sortedRecords returns the run set's canonical record order.
 func sortedRecords(rs *RunSet) []runRecord {
 	recs := make([]runRecord, 0, len(rs.Runs))
-	for k, m := range rs.Runs {
-		recs = append(recs, runRecord{Key: k, M: m})
+	for _, k := range rs.sortedKeys() {
+		recs = append(recs, runRecord{Key: k, M: rs.Runs[k]})
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i].Key, recs[j].Key
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Cluster != b.Cluster {
-			return a.Cluster < b.Cluster
-		}
-		return a.FreqMHz < b.FreqMHz
-	})
 	return recs
 }
 

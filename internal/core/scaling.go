@@ -53,7 +53,8 @@ func ScalingAnalysis(rs *RunSet, models map[string]*power.Model, mapping power.M
 	perOp := map[opKey][]string{}
 	runData := map[RunKey]platformRun{}
 
-	for key, m := range rs.Runs {
+	for _, key := range rs.sortedKeys() {
+		m := rs.Runs[key]
 		model, ok := models[key.Cluster]
 		if !ok {
 			return nil, fmt.Errorf("core: no power model for cluster %s", key.Cluster)
@@ -192,7 +193,7 @@ func ClusterRatio(rs *RunSet, cluster string, loFreq, hiFreq int,
 	}
 
 	perLabel := map[int][]float64{}
-	for key := range rs.Runs {
+	for _, key := range rs.sortedKeys() {
 		if key.Cluster != cluster || key.FreqMHz != loFreq {
 			continue
 		}
@@ -208,8 +209,14 @@ func ClusterRatio(rs *RunSet, cluster string, loFreq, hiFreq int,
 		return SpeedupStats{}, fmt.Errorf("core: no runs for %s at %d/%d MHz", cluster, loFreq, hiFreq)
 	}
 	out := SpeedupStats{Min: 1e300, Max: -1e300}
+	labelsSeen := make([]int, 0, len(perLabel))
+	for l := range perLabel {
+		labelsSeen = append(labelsSeen, l)
+	}
+	sort.Ints(labelsSeen)
 	var all []float64
-	for l, vals := range perLabel {
+	for _, l := range labelsSeen {
+		vals := perLabel[l]
 		m := stats.Mean(vals)
 		all = append(all, vals...)
 		if m < out.Min {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gemstone/internal/platform"
@@ -115,16 +116,7 @@ func Screen(ctx context.Context, hwPl, simPl *platform.Platform, opt ScreenOptio
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Cluster != b.Cluster {
-			return a.Cluster < b.Cluster
-		}
-		return a.FreqMHz < b.FreqMHz
-	})
+	slices.SortFunc(keys, compareRunKeys)
 	pes := make(map[RunKey]float64, len(keys))
 	ordered := make([]float64, len(keys))
 	for i, k := range keys {

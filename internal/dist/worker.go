@@ -29,8 +29,8 @@ type WorkerConfig struct {
 // Worker executes jobs for a coordinator. It is an http.Handler factory:
 // mount Handler() on any server (cmd/gemstoned in production, httptest in
 // the chaos suite). Simulation state is pooled per platform — a
-// SimContext costs hundreds of kilobytes to build, and the coordinator
-// orders jobs workload-major, so reuse hits constantly.
+// SimContext costs hundreds of kilobytes to build, and a pooled one is
+// Reset rather than rebuilt for each job.
 type Worker struct {
 	cfg WorkerConfig
 	sem chan struct{}

@@ -22,19 +22,18 @@ type clusterSim struct {
 	core *pipeline.Core
 
 	// DVFS trace of the most recently simulated workload on this cluster
-	// (see mem.DVFSTrace): a campaign sweeps the same workload across every
-	// operating point, and the memory-system event stream is
-	// frequency-invariant, so the first run records the per-access latency
-	// decomposition and the remaining frequencies replay it — bit-identical
-	// results at a fraction of the work.
+	// (see mem.DVFSTrace): the memory-system event stream is
+	// frequency-invariant, so the first run of a workload records the
+	// per-access latency decomposition and later runs of it at other
+	// frequencies replay it — bit-identical results at a fraction of the
+	// work.
 	trace     mem.DVFSTrace
 	traceProf workload.Profile
 	traceOK   bool
 
 	// Atomic-tier anchor cache (see atomic.go): the truncated detailed
 	// samples at the cluster's DVFS extremes for the most recently
-	// predicted workload. Like the DVFS trace it is one-entry because
-	// campaigns are workload-major.
+	// predicted workload.
 	anchors atomicAnchors
 }
 
@@ -45,9 +44,9 @@ type clusterSim struct {
 // by this churn. The context keeps one clusterSim per cluster (Reset()
 // restores just-constructed state, so results are bit-identical to fresh
 // construction — the golden equivalence tests pin this) and a one-entry
-// cache of the most recently expanded instruction stream, which pays off
-// when consecutive runs share a workload (core.Collect orders its
-// jobs workload-major for exactly this reason).
+// cache of the most recently expanded instruction stream. Every cache is
+// one-entry, so it pays off when consecutive runs share a workload; how
+// core.Collect schedules runs to make that so is its unitBounds rule.
 //
 // A SimContext is not safe for concurrent use; create one per worker.
 type SimContext struct {

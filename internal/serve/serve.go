@@ -804,8 +804,8 @@ func (s *Server) runCampaign(c *Campaign) {
 			// transition commit atomically (after the ledger I/O), so
 			// no event stream can observe a terminal campaign whose
 			// "done" frame is not yet appended.
+			s.noteTerminal(c.Tenant, outcome)
 			c.complete(hwSet, simSet, vs, Event{Type: "done", MAPE: vs.MAPE})
-			s.noteTerminal(c.Tenant)
 			s.countEvent(c.Tenant, "done")
 			s.log().Info("campaign done", "campaign", c.ID, "tenant", c.Tenant,
 				"mape", vs.MAPE, "wall", time.Since(start))
@@ -816,19 +816,23 @@ func (s *Server) runCampaign(c *Campaign) {
 	outcome = "failed"
 	root.Annotate(obs.Bool("failed", true))
 	root.End()
+	s.noteTerminal(c.Tenant, outcome)
 	c.failWith(err, Event{Type: "error", Error: err.Error()})
-	s.noteTerminal(c.Tenant)
 	s.countEvent(c.Tenant, "error")
 	s.log().Warn("campaign failed", "campaign", c.ID, "tenant", c.Tenant, "err", err)
 }
 
-// noteTerminal decrements the tenant's queue-depth gauge the moment a
-// campaign's terminal transition commits — not at settle, so the gauge
-// tracks "work the service still owes a client", the quantity a load
-// generator reconciles its own completion count against.
-func (s *Server) noteTerminal(tenant string) {
+// noteTerminal decrements the tenant's queue-depth gauge and counts the
+// campaign's outcome just before its terminal transition publishes the
+// terminal frame — not at settle. A client that has read the frame and
+// then scrapes sees both, which is what a load generator reconciles its
+// own completion count against.
+func (s *Server) noteTerminal(tenant, outcome string) {
 	if s.mQueue != nil {
 		s.mQueue.Add(-1, tenant)
+	}
+	if s.mCampaigns != nil {
+		s.mCampaigns.Inc(tenant, outcome)
 	}
 }
 
@@ -858,7 +862,7 @@ func (s *Server) noteSLO(tenant string, queued, leased, simulating, collating ti
 }
 
 // settle releases the campaign's admission slot, applies the retention
-// cap and records outcome metrics.
+// cap and records the campaign's wall time.
 func (s *Server) settle(c *Campaign, outcome string, wall time.Duration) {
 	s.mu.Lock()
 	s.active--
@@ -877,9 +881,6 @@ func (s *Server) settle(c *Campaign, outcome string, wall time.Duration) {
 	}
 	if s.mActive != nil {
 		s.mActive.Add(-1, c.Tenant)
-	}
-	if s.mCampaigns != nil {
-		s.mCampaigns.Inc(c.Tenant, outcome)
 	}
 	if s.mSeconds != nil {
 		s.mSeconds.Observe(wall.Seconds(), c.Tenant, outcome)

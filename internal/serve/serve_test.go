@@ -1022,6 +1022,70 @@ func TestDeleteCampaign(t *testing.T) {
 // failure path — the stub errors on release) drain it back to zero,
 // and /v1/statusz mirrors the same per-tenant depths while campaigns
 // are in flight.
+// holdTerminalLog is a slog handler that holds the service's
+// post-terminal log line ("campaign done" / "campaign failed") until
+// release is closed. The line is logged after the terminal frame is
+// published and before the campaign settles, so holding it keeps a test
+// inside that window.
+type holdTerminalLog struct{ release chan struct{} }
+
+func (h holdTerminalLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h holdTerminalLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h holdTerminalLog) WithGroup(string) slog.Handler            { return h }
+
+func (h holdTerminalLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "campaign done" || r.Message == "campaign failed" {
+		select {
+		case <-h.release:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return nil
+}
+
+// TestCampaignsCounterAtTerminalFrame pins the campaigns-done
+// reconciliation gemload relies on: a scrape taken straight after a
+// client reads the terminal SSE frame already counts the campaign's
+// outcome, with the campaign's settle held back.
+func TestCampaignsCounterAtTerminalFrame(t *testing.T) {
+	local := func(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
+		return core.Collect(ctx, pl, opt)
+	}
+	failing := func(context.Context, *platform.Platform, core.CollectOptions) (*core.RunSet, error) {
+		return nil, fmt.Errorf("stub: campaign aborted")
+	}
+	for _, c := range []struct {
+		outcome, frame string
+		collect        CollectFunc
+	}{
+		{"done", "done", local},
+		{"failed", "error", failing},
+	} {
+		release := make(chan struct{})
+		reg := obs.NewRegistry()
+		svc := New(Config{Collector: c.collect, Registry: reg, Log: slog.New(holdTerminalLog{release})})
+		api := httptest.NewServer(svc.Handler())
+
+		id := submit(t, api.URL, "alice", testSpec(1))
+		events := followSSE(t, api.URL, "alice", id)
+		snap := reg.Snapshot()
+		close(release)
+		api.Close()
+		svc.Close()
+
+		if len(events) == 0 || events[len(events)-1].Type != c.frame {
+			t.Fatalf("%s: stream ended with %+v, want a %q frame", c.outcome, events, c.frame)
+		}
+		key := fmt.Sprintf(`gemstone_serve_campaigns_total{tenant="alice",outcome=%q}`, c.outcome)
+		if snap[key] != 1 {
+			t.Errorf("%s = %v straight after the terminal frame, want 1", key, snap[key])
+		}
+		if got := snap[`gemstone_serve_queue_depth{tenant="alice"}`]; got != 0 {
+			t.Errorf("%s: queue depth %v straight after the terminal frame, want 0", c.outcome, got)
+		}
+	}
+}
+
 func TestQueueDepthGauge(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 16)
