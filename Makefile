@@ -39,7 +39,7 @@ serve-test:
 # untraced, interleaved best-of-5, asserting tracing stays within the
 # 2% bar (plus a small absolute term for sub-second scheduler jitter).
 # Deliberately NOT under -race — it is a wall-clock measurement, and
-# the race detector's instrumentation swamps the signal. BENCH_obs.json
+# the race detector's instrumentation swamps the signal. BENCH.txt
 # carries the precise steady-state numbers
 # (BenchmarkCollect_ColdCache vs BenchmarkCollect_ColdCacheTraced).
 trace-smoke:
@@ -53,25 +53,18 @@ trace-smoke:
 screen-smoke:
 	$(GO) test -short -count=1 -run 'TestAtomicErrorBound|TestScreenMixedFidelity|TestScreenModeCampaign' ./internal/platform/ ./internal/core/ ./internal/serve/
 
-# Campaign, observability and stats benchmarks; writes machine-readable
-# results to BENCH_hotloop.json (see scripts/bench.sh), the committed
-# go-bench baseline. BENCH_obs.json is the older pre-hot-loop record.
+# Re-record BENCH.txt, the committed benchmark record: the campaign,
+# simulator, dist, span and stats benchmarks plus gemload's serve rows,
+# in the standard Go benchmark format with the host it ran on (see
+# scripts/bench.sh).
 bench:
 	sh scripts/bench.sh
 
-# Re-run the benchmarks into BENCH_new.json and diff them against the
-# committed BENCH_hotloop.json baseline; deltas beyond +-10% are
-# highlighted. The serve-level SLO metrics (gemload latency percentiles
-# and throughput per op class) are re-measured and diffed against the
-# committed BENCH_serve.json the same way.
-# The atomic-tier pair is re-measured and diffed against
-# BENCH_atomic.json, whose detailed/atomic ratio gemwatch -bench-atomic
-# additionally holds above the speedup floor.
+# Re-run the same suite into BENCH_new.txt and compare it against the
+# committed BENCH.txt with gemwatch: direction-aware per row with a 25%
+# tolerance, plus the detailed/atomic speedup floor.
 bench-compare:
-	sh scripts/bench.sh -c BENCH_hotloop.json BENCH_new.json
-	sh scripts/bench.sh -serve -c BENCH_serve.json BENCH_serve_new.json
-	sh scripts/bench.sh -atomic -c BENCH_atomic.json BENCH_atomic_new.json
-	$(GO) run ./cmd/gemwatch -bench-atomic BENCH_atomic_new.json -bench-atomic-base BENCH_atomic.json
+	sh scripts/bench.sh -c BENCH.txt BENCH_new.txt
 
 # Multi-core scaling row: the cold detailed and atomic campaigns at 1, 2
 # and 4 procs. Record the output with the host (CPU model, nproc,

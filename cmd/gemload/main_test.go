@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gemstone/internal/ledger"
 	"gemstone/internal/load"
 )
 
@@ -67,7 +68,7 @@ func TestRunFleetSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "report.json")
-	benchPath := filepath.Join(dir, "bench.json")
+	benchPath := filepath.Join(dir, "bench.txt")
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-fleet", "2", "-duration", "1500ms", "-concurrency", "3",
@@ -93,20 +94,11 @@ func TestRunFleetSmoke(t *testing.T) {
 		t.Fatalf("report: ok=%v done=%d", rep.OK, rep.CampaignsDone)
 	}
 
-	raw, err = os.ReadFile(benchPath)
+	bench, err := ledger.LoadBench(benchPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bench []load.BenchMetric
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatal(err)
-	}
-	if len(bench) == 0 {
-		t.Fatal("empty bench export")
-	}
-	for _, m := range bench {
-		if m.Name == "" || m.Unit == "" {
-			t.Fatalf("malformed bench metric: %+v", m)
-		}
+	if bench.Config["pkg"] != "gemstone/cmd/gemload" {
+		t.Fatalf("bench export pkg = %q", bench.Config["pkg"])
 	}
 }

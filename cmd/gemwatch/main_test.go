@@ -141,8 +141,8 @@ func TestRunToleratesCorruptLines(t *testing.T) {
 	}
 }
 
-// serveBenchFile writes a BENCH_serve.json-shaped export.
-func serveBenchFile(t *testing.T, dir, name, body string) string {
+// benchFile writes a benchmark record in the Go benchmark format.
+func benchFile(t *testing.T, dir, name, body string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -159,100 +159,94 @@ func TestRunServeBenchAlongsideLedger(t *testing.T) {
 	writeLedger(t, basePath, entry("v1", -51, pes))
 	writeLedger(t, curPath, entry("v1", -50.5, pes))
 
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"serve/cold/p99_ms","value":100,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":50,"unit":"rps"}]`)
+	baseBench := benchFile(t, dir, "base.txt",
+		"BenchmarkServe/cold 10 100 p99-ms 50 req/s\n")
 	// Within tolerance: exit 0, serve rows in the headline table.
-	okBench := serveBenchFile(t, dir, "ok.json",
-		`[{"name":"serve/cold/p99_ms","value":110,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":48,"unit":"rps"}]`)
+	okBench := benchFile(t, dir, "ok.txt",
+		"BenchmarkServe/cold 10 110 p99-ms 48 req/s\n")
 	var out, errb bytes.Buffer
 	code := run([]string{"-ledger", curPath, "-baseline", basePath,
-		"-bench-serve", okBench, "-bench-serve-base", baseBench}, &out, &errb)
+		"-bench", okBench, "-bench-base", baseBench}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
 	}
-	if !strings.Contains(out.String(), "serve/cold/p99_ms") {
+	if !strings.Contains(out.String(), "BenchmarkServe/cold p99-ms") {
 		t.Fatalf("serve rows missing from headline table:\n%s", out.String())
 	}
 
 	// A latency regression beyond tolerance drifts even when the model
 	// accuracy is clean.
-	badBench := serveBenchFile(t, dir, "bad.json",
-		`[{"name":"serve/cold/p99_ms","value":200,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":50,"unit":"rps"}]`)
+	badBench := benchFile(t, dir, "bad.txt",
+		"BenchmarkServe/cold 10 200 p99-ms 50 req/s\n")
 	out.Reset()
 	errb.Reset()
 	code = run([]string{"-ledger", curPath, "-baseline", basePath,
-		"-bench-serve", badBench, "-bench-serve-base", baseBench}, &out, &errb)
+		"-bench", badBench, "-bench-base", baseBench}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("serve regression: exit = %d, want 1\nstdout: %s", code, out.String())
 	}
 }
 
-func TestRunServeBenchWithoutLedger(t *testing.T) {
-	dir := t.TempDir()
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"serve/warm/p50_ms","value":10,"unit":"ms"}]`)
-	curBench := serveBenchFile(t, dir, "cur.json",
-		`[{"name":"serve/warm/p50_ms","value":11,"unit":"ms"}]`)
-
-	// No ledgers anywhere: the serve comparison still runs, degraded to
-	// a serve-only report.
-	var out, errb bytes.Buffer
-	code := run([]string{
+// noLedgers points gemwatch at ledgers that do not exist, so a bench
+// comparison degrades to a bench-only report.
+func noLedgers(dir string) []string {
+	return []string{
 		"-ledger", filepath.Join(dir, "missing.jsonl"),
 		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-		"-bench-serve", curBench, "-bench-serve-base", baseBench}, &out, &errb)
+	}
+}
+
+func TestRunServeBenchWithoutLedger(t *testing.T) {
+	dir := t.TempDir()
+	baseBench := benchFile(t, dir, "base.txt", "BenchmarkServe/warm 10 10 p50-ms\n")
+	curBench := benchFile(t, dir, "cur.txt", "BenchmarkServe/warm 10 11 p50-ms\n")
+
+	// No ledgers anywhere: the bench comparison still runs, degraded to
+	// a bench-only report.
+	var out, errb bytes.Buffer
+	code := run(append(noLedgers(dir), "-bench", curBench, "-bench-base", baseBench), &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
 	}
-	if !strings.Contains(out.String(), "serve/warm/p50_ms") {
+	if !strings.Contains(out.String(), "BenchmarkServe/warm p50-ms") {
 		t.Fatalf("serve row missing:\n%s", out.String())
 	}
 
 	// Same, with a breach: exit 1.
-	badBench := serveBenchFile(t, dir, "bad.json",
-		`[{"name":"serve/warm/p50_ms","value":100,"unit":"ms"}]`)
+	badBench := benchFile(t, dir, "bad.txt", "BenchmarkServe/warm 10 100 p50-ms\n")
 	out.Reset()
 	errb.Reset()
-	code = run([]string{
-		"-ledger", filepath.Join(dir, "missing.jsonl"),
-		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-		"-bench-serve", badBench, "-bench-serve-base", baseBench}, &out, &errb)
+	code = run(append(noLedgers(dir), "-bench", badBench, "-bench-base", baseBench), &out, &errb)
 	if code != 1 {
-		t.Fatalf("serve-only regression: exit = %d, want 1\nstdout: %s", code, out.String())
+		t.Fatalf("bench-only regression: exit = %d, want 1\nstdout: %s", code, out.String())
 	}
 
 	// A missing baseline file is still a hard usage error.
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"-bench-serve", curBench,
-		"-bench-serve-base", filepath.Join(dir, "nope.json")}, &out, &errb)
+	code = run([]string{"-bench", curBench, "-bench-base", filepath.Join(dir, "nope.txt")}, &out, &errb)
 	if code != 2 {
 		t.Fatalf("missing bench baseline: exit = %d, want 2", code)
 	}
 }
 
-// TestRunAtomicBench pins the atomic-tier watchdog: the committed
-// baseline pair is compared like any bench export, plus an absolute
-// speedup floor on the current detailed/atomic ratio — and like the
-// serve comparison it degrades to a bench-only report with no ledger.
+// TestRunAtomicBench pins the atomic-tier watchdog: when the baseline
+// carries the detailed/atomic pair, the record is compared like any
+// other, plus an absolute speedup floor on the current ratio — and it
+// degrades to a bench-only report with no ledger.
 func TestRunAtomicBench(t *testing.T) {
 	dir := t.TempDir()
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":256000000}]`)
+	baseBench := benchFile(t, dir, "base.txt", `
+BenchmarkCollect_ColdCache-8         2 2850000000 ns/op
+BenchmarkCollect_ColdCacheAtomic-8   2  256000000 ns/op
+`)
 	// Healthy: ~11x, comfortably above the floor and within drift bands.
-	okBench := serveBenchFile(t, dir, "ok.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2900000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":260000000}]`)
-	missing := []string{
-		"-ledger", filepath.Join(dir, "missing.jsonl"),
-		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-	}
+	okBench := benchFile(t, dir, "ok.txt", `
+BenchmarkCollect_ColdCache-8         2 2900000000 ns/op
+BenchmarkCollect_ColdCacheAtomic-8   2  260000000 ns/op
+`)
 	var out, errb bytes.Buffer
-	code := run(append(missing, "-bench-atomic", okBench, "-bench-atomic-base", baseBench), &out, &errb)
+	code := run(append(noLedgers(dir), "-bench", okBench, "-bench-base", baseBench), &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
 	}
@@ -260,25 +254,73 @@ func TestRunAtomicBench(t *testing.T) {
 		t.Fatalf("speedup row missing:\n%s", out.String())
 	}
 
-	// The atomic tier slowed to 2x: within generic drift tolerance of
-	// nothing in particular, but under the speedup floor — drift.
-	slowBench := serveBenchFile(t, dir, "slow.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":1425000000}]`)
+	// The atomic tier slowed to 2x: within a huge drift tolerance, but
+	// under the speedup floor — drift.
+	slowBench := benchFile(t, dir, "slow.txt", `
+BenchmarkCollect_ColdCache-8         2 2850000000 ns/op
+BenchmarkCollect_ColdCacheAtomic-8   2 1425000000 ns/op
+`)
 	out.Reset()
 	errb.Reset()
-	code = run(append(missing, "-bench-atomic", slowBench, "-bench-atomic-base", baseBench, "-tol-serve-pct", "10000"), &out, &errb)
+	code = run(append(noLedgers(dir), "-bench", slowBench, "-bench-base", baseBench, "-tol-bench-pct", "10000"), &out, &errb)
 	if code != 1 {
 		t.Fatalf("sub-floor speedup: exit = %d, want 1\nstdout: %s", code, out.String())
 	}
 
-	// An export without the pair is a usage error.
-	halfBench := serveBenchFile(t, dir, "half.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000}]`)
+	// A current record without the pair the baseline carries is a usage
+	// error.
+	halfBench := benchFile(t, dir, "half.txt", "BenchmarkCollect_ColdCache-8 2 2850000000 ns/op\n")
 	out.Reset()
 	errb.Reset()
-	code = run(append(missing, "-bench-atomic", halfBench, "-bench-atomic-base", baseBench), &out, &errb)
+	code = run(append(noLedgers(dir), "-bench", halfBench, "-bench-base", baseBench), &out, &errb)
 	if code != 2 {
-		t.Fatalf("half export: exit = %d, want 2", code)
+		t.Fatalf("half record: exit = %d, want 2", code)
+	}
+
+	// A baseline without the pair skips the floor.
+	out.Reset()
+	errb.Reset()
+	code = run(append(noLedgers(dir), "-bench", halfBench, "-bench-base", halfBench), &out, &errb)
+	if code != 0 || strings.Contains(out.String(), "atomic_speedup_x") {
+		t.Fatalf("pairless baseline: exit = %d, want 0 with no speedup row\nstdout: %s", code, out.String())
+	}
+}
+
+// TestRunBenchProcsSuffix: go test appends -GOMAXPROCS to every result
+// name unless it is 1, so a baseline recorded at GOMAXPROCS=1 carries
+// bare names. Rows must still match across the suffix — a 34x per-op
+// slowdown at -2/-4 is drift, not a pair of "missing"/"new" notes — and
+// the GOMAXPROCS change is noted.
+func TestRunBenchProcsSuffix(t *testing.T) {
+	dir := t.TempDir()
+	baseBench := benchFile(t, dir, "base.txt", `cpu: Intel(R) Xeon(R) Processor
+BenchmarkCollect_ColdCache         2 2850000000 ns/op
+BenchmarkCollect_ColdCacheAtomic   2  256000000 ns/op
+BenchmarkServe/cold-start          9 110 p50-ms
+`)
+	curBench := benchFile(t, dir, "cur.txt", `cpu: Intel(R) Xeon(R) Processor
+BenchmarkCollect_ColdCache-2       2 96900000000 ns/op
+BenchmarkCollect_ColdCacheAtomic-2 2  8704000000 ns/op
+BenchmarkServe/cold-start-4        9 3740 p50-ms
+`)
+	var out, errb bytes.Buffer
+	code := run(append(noLedgers(dir), "-bench", curBench, "-bench-base", baseBench), &out, &errb)
+	if code != 1 {
+		t.Fatalf("34x slowdown behind a -GOMAXPROCS suffix: exit = %d, want 1\nstdout: %s", code, out.String())
+	}
+	for _, want := range []string{
+		"BenchmarkCollect_ColdCache ns/op",
+		"BenchmarkCollect_ColdCacheAtomic ns/op",
+		"BenchmarkServe/cold-start p50-ms",
+		`bench host differs: baseline cpu="Intel(R) Xeon(R) Processor" go= GOMAXPROCS=1; current cpu="Intel(R) Xeon(R) Processor" go= GOMAXPROCS=2,4`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, out.String())
+		}
+	}
+	for _, unwanted := range []string{"missing from current run", "new in current run"} {
+		if strings.Contains(out.String(), unwanted) {
+			t.Errorf("unmatched rows (%q) in:\n%s", unwanted, out.String())
+		}
 	}
 }

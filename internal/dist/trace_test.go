@@ -437,7 +437,7 @@ func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
 // and the traced best must stay within 2% of the untraced best plus a
 // small absolute slack that absorbs scheduler noise on sub-second runs.
 // Run it WITHOUT -race (the race detector's instrumentation swamps the
-// signal); BENCH_obs.json carries the precise steady-state measurement.
+// signal); BENCH.txt carries the precise steady-state measurement.
 func TestTraceOverheadSmoke(t *testing.T) {
 	if os.Getenv("GEMSTONE_TRACE_SMOKE") == "" {
 		t.Skip("set GEMSTONE_TRACE_SMOKE=1 to run the trace-overhead smoke")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gemstone/internal/dist"
+	"gemstone/internal/ledger"
 )
 
 // runDuration scales load windows down under -short.
@@ -101,19 +102,22 @@ func TestDriverClosedLoopEndToEnd(t *testing.T) {
 		t.Fatalf("statusz snapshot malformed: %v %s", err, r.Statusz)
 	}
 
-	// The bench export carries every exercised op.
-	bench := r.Bench()
-	if len(bench) == 0 {
-		t.Fatal("empty bench export")
+	// The bench export carries every exercised op, in units whose
+	// regression direction the watchdog knows.
+	bench, err := ledger.ParseBench(strings.NewReader(r.Bench()))
+	if err != nil {
+		t.Fatalf("bench export: %v\n%s", err, r.Bench())
 	}
 	seen := map[string]bool{}
-	for _, m := range bench {
-		seen[m.Name] = true
-		if m.Unit != "ms" && m.Unit != "rps" {
+	for _, m := range bench.Metrics {
+		seen[m.Name+" "+m.Unit] = true
+		switch m.Unit {
+		case "p50-ms", "p95-ms", "p99-ms", "req/s":
+		default:
 			t.Errorf("bench %s: unit %q", m.Name, m.Unit)
 		}
 	}
-	if !seen["serve/cold/p50_ms"] || !seen["serve/cold/rps"] {
+	if !seen["BenchmarkServe/cold p50-ms"] || !seen["BenchmarkServe/cold req/s"] {
 		t.Errorf("bench export missing cold metrics: %v", seen)
 	}
 

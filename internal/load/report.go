@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -243,35 +244,28 @@ func (d *Driver) reconcile(r *Report, campaigns *obs.HDR, base, cur *Metrics) []
 	return checks
 }
 
-// BenchMetric is one scalar for BENCH_serve.json, the committed
-// baseline scripts/bench.sh and gemwatch compare against.
-type BenchMetric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-}
-
-// Bench flattens the report into comparable scalars: per-op p50/p95/p99
-// latency and throughput. Lower is better for *_ms, higher for *_rps —
-// the unit carries the direction.
-func (r *Report) Bench() []BenchMetric {
-	var out []BenchMetric
+// Bench renders the report in the standard Go benchmark format, the
+// text go test -bench prints: a pkg: line, then one BenchmarkServe/<op>
+// result line per exercised op with the ok-request count as the
+// iteration count, p50/p95/p99 latency (p50-ms…, lower is better) and
+// throughput (req/s, higher is better). Names carry the -GOMAXPROCS
+// suffix go test would add, so the record states its parallelism.
+func (r *Report) Bench() string {
+	var b strings.Builder
+	b.WriteString("pkg: gemstone/cmd/gemload\n")
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n != 1 {
+		procs = fmt.Sprintf("-%d", n)
+	}
 	for _, op := range r.Ops {
 		if op.OK == 0 {
 			continue
 		}
-		pfx := "serve/" + op.Op + "/"
-		out = append(out,
-			BenchMetric{Name: pfx + "p50_ms", Value: round2(op.P50Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "p95_ms", Value: round2(op.P95Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "p99_ms", Value: round2(op.P99Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "rps", Value: round2(op.ThroughputRPS), Unit: "rps"},
-		)
+		fmt.Fprintf(&b, "BenchmarkServe/%s%s\t%d\t%.2f p50-ms\t%.2f p95-ms\t%.2f p99-ms\t%.2f req/s\n",
+			op.Op, procs, op.OK, op.P50Ms, op.P95Ms, op.P99Ms, op.ThroughputRPS)
 	}
-	return out
+	return b.String()
 }
-
-func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
 // String renders the operator-facing run summary.
 func (r *Report) String() string {

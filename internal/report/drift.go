@@ -16,14 +16,20 @@ func Drift(r *ledger.DriftReport) string {
 	for _, n := range r.ManifestNotes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	fmt.Fprintf(&b, "%-20s %10s %10s %8s %8s\n", "headline", "baseline", "current", "delta", "tol")
+	// Bench rows ("<benchmark> <unit>") outgrow the ledger headlines'
+	// column, so it widens to the longest name.
+	w := 20
+	for _, h := range r.Headlines {
+		w = max(w, len(h.Name))
+	}
+	fmt.Fprintf(&b, "%-*s %10s %10s %8s %8s\n", w, "headline", "baseline", "current", "delta", "tol")
 	for _, h := range r.Headlines {
 		mark := "  "
 		if h.Breach {
 			mark = "!!"
 		}
-		fmt.Fprintf(&b, "%-20s %10.2f %10.2f %+8.2f %8.2f %s\n",
-			h.Name, h.Base, h.Cur, h.Delta, h.Tolerance, mark)
+		fmt.Fprintf(&b, "%-*s %10.2f %10.2f %+8.2f %8.2f %s\n",
+			w, h.Name, h.Base, h.Cur, h.Delta, h.Tolerance, mark)
 	}
 
 	if len(r.Workloads) > 0 {

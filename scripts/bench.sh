@@ -1,142 +1,57 @@
 #!/bin/sh
-# Benchmark suite: campaign-engine Collect benchmarks (cold/traced/warm —
-# the traced-vs-untraced pair bounds the tracing overhead), the obs span
-# micro-benchmarks, and the stats kernels. The raw `go test -bench` output
-# is converted to machine-readable JSON with no tooling beyond awk, so CI
-# can diff runs across commits.
+# Benchmark record: the campaign-engine Collect benchmarks (cold,
+# atomic, traced, warm; the traced-vs-untraced pair bounds the tracing
+# overhead and the detailed-vs-atomic pair the fidelity-tier speedup),
+# simulator throughput, the distributed traced-vs-untraced pair, the obs
+# span micro-benchmarks, the stats kernels, and gemload's serve-level
+# latency and throughput rows (scripts/loadtest.sh). Every producer
+# prints the standard Go benchmark format, so the record is their
+# concatenation under go: and commit: lines; go test's own goos:,
+# goarch:, pkg: and cpu: lines and the -GOMAXPROCS name suffix record
+# the rest of the host.
 #
 # Usage:
-#   scripts/bench.sh [out.json]                 run, write out.json
-#   scripts/bench.sh -c baseline.json [out.json]
-#       run, write out.json, then print a per-benchmark comparison against
-#       the committed baseline; time or allocation deltas beyond +-10% are
-#       highlighted.
-#   scripts/bench.sh -serve [-c baseline.json] [out.json]
-#       run the gemload service-level benchmark (scripts/loadtest.sh) and
-#       write/compare serve SLO metrics (latency percentiles, req/s)
-#       instead of the go-bench suite. The committed baseline is
-#       BENCH_serve.json.
-#   scripts/bench.sh -atomic [-c baseline.json] [out.json]
-#       run only the fidelity-tier pair (BenchmarkCollect_ColdCache vs
-#       BenchmarkCollect_ColdCacheAtomic) and write the atomic-tier
-#       baseline. The committed baseline is BENCH_atomic.json; gemwatch
-#       -bench-atomic enforces the detailed/atomic speedup floor on it.
-#
-# The comparison understands both metric shapes: go-bench rows keyed on
-# ns_per_op/allocs_per_op, and serve rows keyed on a generic value+unit
-# (where ms and rps deltas highlight exactly like ns/op ones).
+#   scripts/bench.sh [out.txt]              run, write out.txt (default BENCH.txt)
+#   scripts/bench.sh -c base.txt [out.txt]  run, write out.txt, then compare
+#       it against base.txt with gemwatch (direction-aware, 25% tolerance;
+#       exit 1 on a regression)
 set -eu
 cd "$(dirname "$0")/.."
 
-serve=0
-atomic=0
-if [ "${1:-}" = "-serve" ]; then
-	serve=1
-	shift
-elif [ "${1:-}" = "-atomic" ]; then
-	atomic=1
-	shift
-fi
 baseline=""
 if [ "${1:-}" = "-c" ]; then
 	baseline="$2"
 	shift 2
 fi
-
-# compare BASELINE CURRENT: per-metric delta table. The value is
-# ns_per_op when present (go-bench shape) and the generic "value" field
-# otherwise (serve shape); allocations compare only when both sides
-# carry them.
-compare() {
-	awk -v FS='[":,{}]+' '
-	function field(line, key,   i, n, parts) {
-		n = split(line, parts, FS)
-		for (i = 1; i < n; i++) if (parts[i] == key) return parts[i+1]
-		return ""
-	}
-	{
-		name = field($0, "name"); if (name == "") next
-		ns = field($0, "ns_per_op")
-		if (ns == "") ns = field($0, "value")
-		al = field($0, "allocs_per_op")
-		un = field($0, "unit"); if (un == "") un = "ns/op"
-		if (pass == 1) { base_ns[name] = ns; base_al[name] = al }
-		else {
-			new_ns[name] = ns; new_al[name] = al; unit[name] = un
-			if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
-		}
-	}
-	END {
-		printf "%-44s %14s %14s %9s %9s\n", "benchmark", "base", "new", "delta", "allocs"
-		for (i = 1; i <= cnt; i++) {
-			name = order[i]
-			if (!(name in base_ns)) { printf "%-44s %14s %14s %9s\n", name, "-", new_ns[name], "new"; continue }
-			dt = (new_ns[name] - base_ns[name]) / base_ns[name] * 100
-			da = "-"
-			mark = ""
-			if (base_al[name] != "" && new_al[name] != "" && base_al[name] + 0 > 0) {
-				dav = (new_al[name] - base_al[name]) / base_al[name] * 100
-				da = sprintf("%+.1f%%", dav)
-				if (dav > 10 || dav < -10) mark = " <<<"
-			}
-			if (dt > 10 || dt < -10) mark = " <<<"
-			printf "%-44s %14s %14s %8.1f%% %9s%s (%s)\n", name, base_ns[name], new_ns[name], dt, da, mark, unit[name]
-		}
-	}
-	' pass=1 "$1" pass=2 "$2"
-}
-
-if [ "$serve" = 1 ]; then
-	out="${1:-BENCH_serve.json}"
-	sh scripts/loadtest.sh -bench "$out"
-	echo "wrote $out"
-else
-	if [ "$atomic" = 1 ]; then
-		out="${1:-BENCH_atomic.json}"
-	else
-		out="${1:-BENCH_hotloop.json}"
-	fi
-	tmp="$(mktemp)"
-	trap 'rm -f "$tmp"' EXIT INT TERM
-
-	if [ "$atomic" = 1 ]; then
-		# Just the fidelity-tier pair: the detailed cold campaign and the
-		# identical campaign at the atomic tier. The ratio of the two rows
-		# is the per-op speedup gemwatch -bench-atomic guards.
-		go test -run '^$' -bench 'BenchmarkCollect_ColdCache$|BenchmarkCollect_ColdCacheAtomic$' -benchtime 2x -benchmem . | tee "$tmp"
-	else
-		# The cold campaign simulates the full validation suite per iteration
-		# (~seconds each); 2 timed iterations keeps the suite bounded.
-		go test -run '^$' -bench 'BenchmarkCollect_' -benchtime 2x -benchmem . | tee "$tmp"
-		# Distributed traced-vs-untraced pair (the tracing-overhead bar on the
-		# wire path; the committed baseline for it is BENCH_trace.json).
-		go test -run '^$' -bench 'BenchmarkRemoteCampaign' -benchtime 20x -benchmem ./internal/dist | tee -a "$tmp"
-		go test -run '^$' -bench 'BenchmarkSpan' -benchmem ./internal/obs | tee -a "$tmp"
-		go test -run '^$' -bench '.' -benchmem ./internal/stats | tee -a "$tmp"
-	fi
-
-	awk '
-	BEGIN { print "[" }
-	/^Benchmark/ {
-		if (n++) printf ",\n"
-		printf "  {\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s", $1, $2, $3
-		for (i = 4; i < NF; i++) {
-			if ($(i+1) == "B/op")      printf ",\"bytes_per_op\":%s", $i
-			if ($(i+1) == "allocs/op") printf ",\"allocs_per_op\":%s", $i
-		}
-		printf "}"
-	}
-	END { if (n) printf "\n"; print "]" }
-	' "$tmp" >"$out"
-	echo "wrote $out"
+out="${1:-BENCH.txt}"
+if [ -n "$baseline" ] && [ ! -f "$baseline" ]; then
+	echo "baseline $baseline not found" >&2
+	exit 1
 fi
+
+# Write to a temporary file first so a failed run never truncates the
+# committed record.
+tmp="$(mktemp)"
+serve="$(mktemp)"
+trap 'rm -f "$tmp" "$serve"' EXIT INT TERM
+
+{
+	echo "go: $(go env GOVERSION)"
+	echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)"
+} >"$tmp"
+# The cold campaign simulates the full validation suite per iteration
+# (~seconds each); 2 timed iterations keep the suite bounded.
+go test -run '^$' -bench 'BenchmarkCollect_' -benchtime 2x -benchmem . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkSimulatorThroughput$' -benchmem . >>"$tmp"
+go test -run '^$' -bench 'BenchmarkRemoteCampaign' -benchtime 20x -benchmem ./internal/dist >>"$tmp"
+go test -run '^$' -bench 'BenchmarkSpan' -benchmem ./internal/obs >>"$tmp"
+go test -run '^$' -bench '.' -benchmem ./internal/stats >>"$tmp"
+sh scripts/loadtest.sh -bench "$serve" >&2
+cat "$serve" >>"$tmp"
+cat "$tmp" >"$out"
+echo "wrote $out" >&2
 
 if [ -n "$baseline" ]; then
-	if [ ! -f "$baseline" ]; then
-		echo "baseline $baseline not found" >&2
-		exit 1
-	fi
-	echo
-	echo "comparison vs $baseline (deltas beyond +-10% marked <<<):"
-	compare "$baseline" "$out"
+	exec go run ./cmd/gemwatch -bench "$out" -bench-base "$baseline"
 fi
+cat "$out"

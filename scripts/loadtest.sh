@@ -5,13 +5,14 @@
 # SLO reconciliation check passes.
 #
 # Usage:
-#   scripts/loadtest.sh [-soak] [-bench out.json] [-out report.json] [-duration D]
+#   scripts/loadtest.sh [-soak] [-bench out.txt] [-out report.json] [-duration D]
 #
 #   default   2-worker fleet, short closed-loop smoke (CI quick job)
 #   -soak     3-worker fleet, a worker killed every 2s plus wire chaos
 #             (drops/duplicates/corruption) for the full window — the
 #             SLO contract must hold through rolling worker death
-#   -bench    also write the BENCH_serve.json-shaped metric export
+#   -bench    also write the serve rows in the Go benchmark format
+#             (scripts/bench.sh appends them to BENCH.txt)
 #   -out      also write the full JSON report (CI uploads it)
 #   -duration override the offered-load window
 #
@@ -41,7 +42,7 @@ while [ $# -gt 0 ]; do
 		shift
 		;;
 	*)
-		echo "usage: scripts/loadtest.sh [-soak] [-bench out.json] [-out report.json] [-duration D]" >&2
+		echo "usage: scripts/loadtest.sh [-soak] [-bench out.txt] [-out report.json] [-duration D]" >&2
 		exit 2
 		;;
 	esac
