@@ -14,7 +14,7 @@ check: build vet test trace-smoke screen-smoke
 # and the worker-count determinism sweep, and trims the golden
 # equivalence sweeps to a subset — seconds instead of minutes. The
 # internal/dist integration suite runs here too, with its campaigns
-# shrunk to 2 runs (CI also runs it as an explicit step).
+# shrunk to 2 runs (serve-test runs it again under -race).
 quick:
 	$(GO) test -short ./...
 

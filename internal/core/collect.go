@@ -9,6 +9,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -233,24 +234,23 @@ func (e *CollectError) Unwrap() []error {
 }
 
 // PlannedJob is one run of a campaign: the workload profile to run, the
-// run key naming the (workload, cluster, frequency) point, and — when the
-// planning options carry a cache — the content-addressed cache key of the
-// measurement. The distributed coordinator (internal/dist) ships
-// PlannedJobs to remote workers; Collect feeds them to its local worker
-// pool. Either way the job list is identical, which is what makes a
-// distributed campaign bit-for-bit equivalent to a local one.
+// run key naming the (workload, cluster, frequency) point, and the
+// content-addressed cache key of the measurement. The distributed
+// coordinator (internal/dist) ships PlannedJobs to remote workers under
+// that key as their job ID; Collect feeds them to its local lanes. Either
+// way the job list is identical, which is what makes a distributed
+// campaign bit-for-bit equivalent to a local one.
 type PlannedJob struct {
 	Profile workload.Profile
 	Key     RunKey
-	// CacheKey is the content-addressed run-cache key ("" when the
-	// planning options had no cache; derive one with CacheKeyFidelity
-	// if needed).
+	// CacheKey is the content-addressed run-cache key (CacheKeyFidelity
+	// of the job), filled whether or not the campaign has a cache.
 	CacheKey string
 }
 
 // PlanCampaign fills opt's defaults against pl and expands it into the
 // campaign's ordered job list: workload, then cluster, then frequency.
-// Collect schedules contiguous runs of this list as units (see
+// CollectLanes schedules contiguous runs of this list as units (see
 // unitBounds). The ordering never changes the collected data — runs are
 // independent and individually deterministic.
 func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, error) {
@@ -258,46 +258,40 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 		return nil, err
 	}
 	cfg := pl.Config()
+	// Fingerprint each cluster once so per-run cache keys are a hash away.
 	clusterFP := map[string]string{}
-	if opt.Cache != nil {
-		// Fingerprint each cluster once so per-run cache keys are a hash
-		// away.
-		for _, cl := range opt.Clusters {
-			cc, err := pl.Cluster(cl)
-			if err != nil {
-				return nil, err
-			}
-			clusterFP[cl] = cc.Fingerprint()
+	for _, cl := range opt.Clusters {
+		cc, err := pl.Cluster(cl)
+		if err != nil {
+			return nil, err
 		}
+		clusterFP[cl] = cc.Fingerprint()
 	}
 	var jobs []PlannedJob
 	for _, prof := range opt.Workloads {
-		var profJSON []byte
-		if opt.Cache != nil {
-			profJSON = profileKeyJSON(prof)
-		}
+		profJSON := profileKeyJSON(prof)
 		for _, cl := range opt.Clusters {
 			for _, f := range opt.Freqs[cl] {
-				j := PlannedJob{Profile: prof, Key: RunKey{Workload: prof.Name, Cluster: cl, FreqMHz: f}}
-				if opt.Cache != nil {
-					j.CacheKey = cacheKeyFromParts(cfg.Name, cfg.HasSensors, cl, clusterFP[cl], profJSON, f, opt.Fidelity)
-				}
-				jobs = append(jobs, j)
+				jobs = append(jobs, PlannedJob{
+					Profile:  prof,
+					Key:      RunKey{Workload: prof.Name, Cluster: cl, FreqMHz: f},
+					CacheKey: cacheKeyFromParts(cfg.Name, cfg.HasSensors, cl, clusterFP[cl], profJSON, f, opt.Fidelity),
+				})
 			}
 		}
 	}
 	return jobs, nil
 }
 
-// unitBounds splits a PlanCampaign job list into Collect's scheduling
+// unitBounds splits a PlanCampaign job list into CollectLanes' scheduling
 // units and returns their boundaries: unit u is jobs[b[u]:b[u+1]]. One
-// worker runs a unit start to end on one SimContext, whose reusable state
-// is keyed by what consecutive jobs share: the expanded instruction
-// stream by workload, each cluster's DVFS trace and atomic anchors by
-// (workload, cluster). So the rule is: the unit is the largest that still
-// gives every worker work — the whole workload; the (workload, cluster)
-// sweep when there are fewer workloads than workers; the single point
-// when there are fewer sweeps too.
+// lane runs a unit start to end — locally on one SimContext, whose
+// reusable state is keyed by what consecutive jobs share: the expanded
+// instruction stream by workload, each cluster's DVFS trace and atomic
+// anchors by (workload, cluster). So the rule is: the unit is the largest
+// that still gives every lane work — the whole workload; the (workload,
+// cluster) sweep when there are fewer workloads than lanes; the single
+// point when there are fewer sweeps too.
 func unitBounds(jobs []PlannedJob, workers int) []int {
 	sameUnit := []func(a, b RunKey) bool{
 		func(a, b RunKey) bool { return a.Workload == b.Workload },
@@ -328,32 +322,88 @@ func unitBounds(jobs []PlannedJob, workers int) []int {
 // pl is a gem5 model, at the simulation tier selected by opt.Fidelity.
 //
 // Runs are independent simulations, so the campaign fans out across
-// opt.Workers workers (GOMAXPROCS by default). Workers claim whole units
-// of jobs — a workload, a (workload, cluster) sweep or a single point, as
-// unitBounds decides — so the state a worker's SimContext reuses is built
-// once per unit. Every run is individually deterministic, so the
-// resulting set is identical to a sequential collection
-// (TestCollectDeterministicAcrossWorkerCounts asserts this byte-for-byte).
+// opt.Workers lanes (GOMAXPROCS by default), each simulating on its own
+// SimContext (see LocalLanes and CollectLanes). Every run is individually
+// deterministic, so the resulting set is identical to a sequential
+// collection (TestCollectDeterministicAcrossWorkerCounts asserts this
+// byte-for-byte).
 //
 // The campaign stops early on the first run failure or when ctx is
-// cancelled: workers finish the runs already in flight and then abandon
-// the remaining jobs, including the rest of their own unit, instead of
-// burning CPU on a doomed campaign. In both
-// cases the returned error is a *CollectError carrying the completed
-// partial results, the failed runs and the skipped jobs.
+// cancelled: lanes finish the runs already in flight and then abandon the
+// remaining jobs, including the rest of their own unit, instead of
+// burning CPU on a doomed campaign. In both cases the returned error is a
+// *CollectError carrying the completed partial results, the failed runs
+// and the skipped jobs.
 func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
+	root := opt.Tracer.Start("collect", obs.String("platform", pl.Name()))
+	defer root.End()
+	lanes := opt.Workers
+	if lanes <= 0 {
+		lanes = runtime.GOMAXPROCS(0)
+	}
+	rs, _, err := CollectLanes(ctx, pl, opt, root, lanes, LocalLanes(pl, opt.Fidelity, lanes))
+	return rs, err
+}
+
+// LaneFunc runs one job that missed the cache on lane, one of the lane
+// count handed to CollectLanes. Calls on one lane never overlap, so
+// per-lane state needs no lock. ctx is done once the campaign stops — a
+// run failed or the caller cancelled — and a LaneFunc that abandons its
+// job for that reason returns ctx.Err(): the job is then reported
+// skipped, not failed. sp is the lane's trace span (nil when untraced),
+// under which the LaneFunc opens its own phases. simTime is what the
+// observer's RunDone and CollectStats.SimTime report for the job.
+type LaneFunc func(ctx context.Context, lane int, j PlannedJob, sp *obs.Span) (m platform.Measurement, simTime time.Duration, err error)
+
+// LocalLanes returns the LaneFunc that simulates jobs in-process at
+// fidelity fid, with one SimContext per lane (lanes of them). A lane's
+// hierarchies, predictors, core scratch and expanded streams are reused
+// across its jobs (Reset between runs), which removes nearly all per-run
+// allocation from a campaign; each is built on its lane's first miss, so
+// a warm campaign builds none.
+func LocalLanes(pl *platform.Platform, fid platform.Fidelity, lanes int) LaneFunc {
+	sims := make([]*platform.SimContext, lanes)
+	return func(_ context.Context, lane int, j PlannedJob, sp *obs.Span) (platform.Measurement, time.Duration, error) {
+		if sims[lane] == nil {
+			sims[lane] = platform.NewSimContext(pl)
+		}
+		// Span attributes are built only when tracing: evaluating them
+		// unconditionally would pay a key-format and boxing allocation per
+		// job even on untraced campaigns.
+		var ss *obs.Span
+		if sp != nil {
+			ss = sp.Child("simulate", obs.String("key", j.Key.String()))
+		}
+		t0 := time.Now()
+		m, err := sims[lane].RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, fid, ss)
+		elapsed := time.Since(t0)
+		ss.End()
+		return m, elapsed, err
+	}
+}
+
+// CollectLanes is the one campaign driver, behind Collect and the
+// distributed coordinator alike. It plans opt on pl under root (the
+// campaign's "collect" span, which the caller opens and ends), replays
+// cache hits, and hands every miss to run on up to lanes parallel lanes.
+// Lanes claim whole units of jobs — a workload, a (workload, cluster)
+// sweep or a single point, as unitBounds decides — so whatever a lane
+// reuses between consecutive jobs is built once per unit. Everything but
+// the cache-miss step is shared: observer lifecycle, cache use, fail-fast
+// and cancellation, the skipped list, CollectStats and CollectError. The
+// returned stats are the ones the observer's CollectDone receives (zero
+// when planning failed).
+func CollectLanes(ctx context.Context, pl *platform.Platform, opt CollectOptions, root *obs.Span, lanes int, run LaneFunc) (*RunSet, CollectStats, error) {
 	start := time.Now()
-	campaign := opt.Tracer.Start("collect", obs.String("platform", pl.Name()))
-	defer campaign.End()
-	planSpan := campaign.Child("plan")
+	planSpan := root.Child("plan")
 	jobs, err := PlanCampaign(pl, &opt)
 	if err != nil {
 		planSpan.End()
-		return nil, err
+		return nil, CollectStats{}, err
 	}
 	planSpan.Annotate(obs.Int("jobs", len(jobs)))
 	planSpan.End()
-	campaign.Annotate(obs.Int("jobs", len(jobs)))
+	root.Annotate(obs.Int("jobs", len(jobs)))
 	planTime := time.Since(start)
 
 	observer := opt.Observer
@@ -362,44 +412,38 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	}
 
 	rs := &RunSet{Platform: pl.Name(), Runs: make(map[RunKey]platform.Measurement, len(jobs))}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	bounds := unitBounds(jobs, workers)
+	bounds := unitBounds(jobs, lanes)
 	units := len(bounds) - 1
-	workers = min(workers, units)
+	lanes = min(lanes, units)
 
+	// stopCtx is done on the first failure or when ctx is: lanes check it
+	// before every job, and a LaneFunc blocked on something else wakes on
+	// it.
+	stopCtx, stop := context.WithCancel(ctx)
+	defer stop()
 	var (
 		mu     sync.Mutex // guards rs.Runs and failed
 		wg     sync.WaitGroup
 		next   atomic.Int64
-		stop   atomic.Bool // set on first failure or cancellation
 		failed []RunError
 
 		hits, sims     atomic.Int64
 		cacheNS, simNS atomic.Int64
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < lanes; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Each worker traces on its own lane so concurrent runs render
+			// Each lane traces on its own row so concurrent runs render
 			// side by side in Perfetto.
 			ws := opt.Tracer.Start("worker", obs.Int("worker", w))
 			defer ws.End()
-			// Per-worker simulation context: hierarchies, predictors, core
-			// scratch and expanded streams are reused across this worker's
-			// jobs (Reset between runs), which removes nearly all per-run
-			// allocation from the campaign.
-			sim := platform.NewSimContext(pl)
 			// next hands out unit indices; [i, end) is the rest of the
-			// worker's current unit. Stop and cancellation are checked
-			// before every job, so a stopped campaign abandons units
-			// mid-way.
+			// lane's current unit. Stop is checked before every job, so a
+			// stopped campaign abandons units mid-way.
 			i, end := 0, 0
 			for {
-				if stop.Load() || ctx.Err() != nil {
+				if stopCtx.Err() != nil {
 					return
 				}
 				for i == end {
@@ -412,9 +456,6 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 				j := jobs[i]
 				i++
 				if opt.Cache != nil {
-					// Span attributes are built only when tracing: evaluating
-					// them unconditionally would pay a key-format and boxing
-					// allocation per job even on untraced campaigns.
 					var sp *obs.Span
 					if ws != nil {
 						sp = ws.Child("cache-get", obs.String("key", j.Key.String()))
@@ -440,21 +481,17 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 				if observer != nil {
 					observer.RunStart(j.Key)
 				}
-				var sp *obs.Span
-				if ws != nil {
-					sp = ws.Child("simulate", obs.String("key", j.Key.String()))
-				}
-				t0 := time.Now()
-				m, err := sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity, sp)
-				elapsed := time.Since(t0)
-				sp.End()
-				simNS.Add(int64(elapsed))
+				m, simTime, err := run(stopCtx, w, j, ws)
+				simNS.Add(int64(simTime))
 				if err != nil {
+					if stopCtx.Err() != nil && errors.Is(err, stopCtx.Err()) {
+						return // abandoned: the job is skipped
+					}
 					err = fmt.Errorf("core: collecting %s on %s: %w", j.Key, pl.Name(), err)
 					mu.Lock()
 					failed = append(failed, RunError{Key: j.Key, Err: err})
 					mu.Unlock()
-					stop.Store(true)
+					stop()
 					if observer != nil {
 						observer.RunError(j.Key, err)
 					}
@@ -466,7 +503,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 					if ws != nil {
 						sp = ws.Child("cache-put", obs.String("key", j.Key.String()))
 					}
-					t0 = time.Now()
+					t0 := time.Now()
 					opt.Cache.Put(j.CacheKey, m)
 					cacheNS.Add(int64(time.Since(t0)))
 					sp.End()
@@ -475,7 +512,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 				rs.Runs[j.Key] = m
 				mu.Unlock()
 				if observer != nil {
-					observer.RunDone(j.Key, m, elapsed)
+					observer.RunDone(j.Key, m, simTime)
 				}
 			}
 		}(w)
@@ -483,7 +520,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	wg.Wait()
 
 	var skipped []RunKey
-	if stop.Load() || ctx.Err() != nil {
+	if stopCtx.Err() != nil {
 		attempted := make(map[RunKey]bool, len(failed))
 		for _, f := range failed {
 			attempted[f.Key] = true
@@ -495,23 +532,24 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 		}
 	}
 
+	stats := CollectStats{
+		Platform:  pl.Name(),
+		Jobs:      len(jobs),
+		Simulated: int(sims.Load()),
+		CacheHits: int(hits.Load()),
+		Errors:    len(failed),
+		Skipped:   len(skipped),
+		PlanTime:  planTime,
+		CacheTime: time.Duration(cacheNS.Load()),
+		SimTime:   time.Duration(simNS.Load()),
+		WallTime:  time.Since(start),
+	}
 	if observer != nil {
-		observer.CollectDone(CollectStats{
-			Platform:  pl.Name(),
-			Jobs:      len(jobs),
-			Simulated: int(sims.Load()),
-			CacheHits: int(hits.Load()),
-			Errors:    len(failed),
-			Skipped:   len(skipped),
-			PlanTime:  planTime,
-			CacheTime: time.Duration(cacheNS.Load()),
-			SimTime:   time.Duration(simNS.Load()),
-			WallTime:  time.Since(start),
-		})
+		observer.CollectDone(stats)
 	}
 
 	if len(failed) > 0 || ctx.Err() != nil {
-		return nil, &CollectError{
+		return nil, stats, &CollectError{
 			Platform: pl.Name(),
 			Failed:   failed,
 			Skipped:  skipped,
@@ -523,7 +561,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 			Partial: rs,
 		}
 	}
-	return rs, nil
+	return rs, stats, nil
 }
 
 // Gem5Stats returns the gem5 statistics map of one model run — Experiment

@@ -87,8 +87,8 @@ func TestRunErrorUnwrapsThroughCollectError(t *testing.T) {
 }
 
 // TestPlanCampaignMatchesCollect pins that the exported planner produces
-// the job list Collect runs: same keys, same order, and cache keys
-// exactly when a cache is configured.
+// the job list Collect runs: same keys, same order, and the same cache
+// keys whether or not a cache is configured.
 func TestPlanCampaignMatchesCollect(t *testing.T) {
 	pl := hw.Platform()
 	opt := smallCampaign()
@@ -100,8 +100,12 @@ func TestPlanCampaignMatchesCollect(t *testing.T) {
 		t.Fatalf("planned %d jobs, want 8", len(jobs))
 	}
 	for _, j := range jobs {
-		if j.CacheKey != "" {
-			t.Fatalf("cache key planned without a cache: %v", j.Key)
+		want, err := CacheKeyFidelity(pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz, platform.FidelityDetailed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.CacheKey != want {
+			t.Fatalf("job %v planned without a cache has cache key %q, want %q", j.Key, j.CacheKey, want)
 		}
 		if j.Profile.Name != j.Key.Workload {
 			t.Fatalf("profile %q under key %v", j.Profile.Name, j.Key)

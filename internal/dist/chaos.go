@@ -22,15 +22,15 @@ import (
 //
 //   - Drop: the request reaches the worker and executes, but the response
 //     never arrives — the "worker did the work, coordinator never heard"
-//     case that forces lease-based reassignment and exercises the
-//     duplicate-absorption path when the retry also completes.
+//     case that forces a retry, so the job executes twice.
 //   - Duplicate: the same job is executed twice and the coordinator sees
 //     the second response — a replayed/late answer. Deterministic jobs
-//     make both answers bit-identical; record's idempotence guard must
-//     absorb the extra one.
+//     make both answers bit-identical, and the lane that owns the job
+//     reads exactly one of them.
 //   - Corrupt: one payload byte is flipped in flight. The digest check
 //     must catch it and the coordinator must retry elsewhere.
-//   - Delay: the response stalls by Delay, exercising lease timeouts.
+//   - Delay: the response stalls by Delay, exercising the RunTimeout
+//     deadline.
 //
 // MaxFaults bounds total injections so a chaotic test still converges:
 // after the budget is spent Chaos is a transparent transport.
@@ -153,7 +153,7 @@ func (c *Chaos) drop(req *http.Request) (*http.Response, error) {
 
 // duplicate executes the job twice and returns the second response: the
 // coordinator observes one answer, but the work unit ran twice — the wire
-// analogue of a worker answering after its lease expired.
+// analogue of a worker answering after its attempt was retried.
 func (c *Chaos) duplicate(req *http.Request) (*http.Response, error) {
 	if req.GetBody == nil {
 		// Cannot replay the body; degrade to a transparent exchange.

@@ -19,11 +19,11 @@ import (
 // TestConcurrentCampaigns is the regression test for the coordinator's
 // former one-campaign-at-a-time assumption: overlapping campaigns share
 // one worker fleet, including two campaigns with *identical* specs —
-// whose content-addressed job IDs collide across campaigns, so only a
-// campaign-keyed lease table keeps their bookkeeping apart. Every
+// whose content-addressed job IDs collide across campaigns, so each
+// campaign's lanes must own their jobs independently. Every
 // campaign must produce the byte-identical canonical archive a local
-// Collect yields (no cross-campaign job bleed), and the lease table
-// must drain to empty.
+// Collect yields (no cross-campaign job bleed), and the in-flight gauge
+// must drain to zero.
 func TestConcurrentCampaigns(t *testing.T) {
 	n := campaignSize(t)
 	localHW, err := core.Collect(context.Background(), hw.Platform(), campaignOpts(n))
@@ -37,9 +37,10 @@ func TestConcurrentCampaigns(t *testing.T) {
 
 	w1 := startWorker(t, nil)
 	w2 := startWorker(t, nil)
+	reg := obs.NewRegistry()
 	coord := NewCoordinator(CoordinatorConfig{
 		Workers:  []string{w1.URL, w2.URL},
-		Registry: obs.NewRegistry(),
+		Registry: reg,
 	})
 
 	// Campaigns a and b are the same spec on the same platform —
@@ -85,8 +86,8 @@ func TestConcurrentCampaigns(t *testing.T) {
 		}
 	}
 
-	if leases := coord.Leases(); len(leases) != 0 {
-		t.Errorf("lease table not drained: %d leases held after all campaigns finished", len(leases))
+	if got := reg.Snapshot()[`gemstone_dist_inflight_leases`]; got != 0 {
+		t.Errorf("in-flight gauge not drained: %v after all campaigns finished", got)
 	}
 
 	remote := 0
@@ -95,29 +96,6 @@ func TestConcurrentCampaigns(t *testing.T) {
 	}
 	if remote == 0 {
 		t.Error("no jobs ran remotely; the fleet was bypassed")
-	}
-}
-
-// TestLeaseKeysAreCampaignScoped pins the lease-table shape directly:
-// while two same-spec campaigns are in flight, leases for the same job
-// ID may exist under both campaign keys without colliding.
-func TestLeaseKeysAreCampaignScoped(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{})
-	c.leaseAcquire("campaign-a", "job-1", "w1")
-	c.leaseAcquire("campaign-b", "job-1", "w2")
-	leases := c.Leases()
-	if len(leases) != 2 {
-		t.Fatalf("got %d leases, want 2 (same job under two campaigns)", len(leases))
-	}
-	if got := leases[LeaseKey{Campaign: "campaign-a", Job: "job-1"}].Worker; got != "w1" {
-		t.Fatalf("campaign-a lease held by %q, want w1", got)
-	}
-	if got := leases[LeaseKey{Campaign: "campaign-b", Job: "job-1"}].Worker; got != "w2" {
-		t.Fatalf("campaign-b lease held by %q, want w2", got)
-	}
-	c.leaseRelease("campaign-a", "job-1")
-	if leases := c.Leases(); len(leases) != 1 {
-		t.Fatalf("releasing campaign-a's lease left %d leases, want 1", len(leases))
 	}
 }
 

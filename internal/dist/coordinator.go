@@ -29,26 +29,28 @@ type CoordinatorConfig struct {
 	// Client issues all worker HTTP requests. Tests install a Chaos
 	// transport here; nil means a private default client.
 	Client *http.Client
-	// ProbeTimeout bounds the per-worker hello probe; 0 means 5s.
-	ProbeTimeout time.Duration
-	// RunTimeout is the job lease: a dispatched job that has not answered
-	// within it is reassigned. 0 means 2 minutes.
+	// RunTimeout bounds one remote attempt: a dispatched job that has not
+	// answered within it is abandoned and retried. 0 means 2 minutes.
 	RunTimeout time.Duration
-	// MaxAttempts bounds remote attempts per job before the coordinator
-	// simulates it locally. 0 means 3.
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape retry delays: attempt n waits
-	// BackoffBase<<(n-1), capped at BackoffMax, jittered ±50%. Zero means
-	// 50ms base, 2s cap.
+	// BackoffBase shapes retry delays: attempt n waits BackoffBase<<(n-1),
+	// capped at backoffMax, jittered ±50%. 0 means 50ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed seeds the deterministic jitter source; 0 means 1.
-	Seed uint64
 	// Registry, when non-nil, receives gemstone_dist_* metrics.
 	Registry *obs.Registry
 	// Log, when non-nil, receives coordinator logging.
 	Log *slog.Logger
 }
+
+// Fixed coordinator tuning.
+const (
+	// probeTimeout bounds the per-worker hello probe.
+	probeTimeout = 5 * time.Second
+	// maxAttempts bounds remote attempts per job before the coordinator
+	// simulates it locally.
+	maxAttempts = 3
+	// backoffMax caps the retry delay.
+	backoffMax = 2 * time.Second
+)
 
 // WorkerStats is the per-worker provenance a coordinator accumulates
 // across campaigns, recorded into the run ledger manifest.
@@ -65,34 +67,12 @@ type WorkerStats struct {
 	Alive bool `json:"alive"`
 }
 
-// LeaseKey identifies one in-flight job assignment. Leases are keyed by
-// (campaign, job), never by job alone: concurrent campaigns may schedule
-// the identical content-addressed job (same platform, workload and DVFS
-// point — hence the same ID) at the same time, and each campaign's lease
-// must expire and reassign independently of the other's.
-type LeaseKey struct {
-	// Campaign is the campaign the assignment belongs to (see
-	// CollectOptions.Name).
-	Campaign string
-	// Job is the content-addressed job ID (the run-cache key).
-	Job string
-}
-
-// Lease records one in-flight job assignment.
-type Lease struct {
-	// Worker is the base URL of the worker holding the job.
-	Worker string
-	// Expires is when the lease times out and the job is reassigned.
-	Expires time.Time
-}
-
 // Coordinator shards campaigns across remote workers. It is safe for
 // concurrent campaigns over one shared fleet: each worker's advertised
 // capacity is enforced by a shared slot pool (a campaign never opens
-// request slots the fleet does not have), the lease table is keyed by
-// (campaign, job) so identical jobs in overlapping campaigns cannot
-// collide, and worker provenance accumulates across campaigns for the
-// ledger.
+// request slots the fleet does not have), every job is owned by one lane
+// of one campaign from claim to result, and worker provenance accumulates
+// across campaigns for the ledger.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
@@ -107,13 +87,11 @@ type Coordinator struct {
 	mRetries    *obs.Counter
 	mJobs       *obs.Counter
 	mHTTPErrors *obs.Counter
-	mDuplicates *obs.Counter
 
 	// seq names anonymous campaigns (Collect with an empty opt.Name).
 	seq atomic.Int64
 
 	mu       sync.Mutex
-	leases   map[LeaseKey]Lease
 	stats    map[string]*WorkerStats
 	slots    map[string]*slotPool
 	degraded int
@@ -188,29 +166,16 @@ func (sp *slotPool) setLimit(limit int) {
 
 // NewCoordinator builds a coordinator.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 5 * time.Second
-	}
 	if cfg.RunTimeout <= 0 {
 		cfg.RunTimeout = 2 * time.Minute
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	c := &Coordinator{
 		cfg:    cfg,
 		client: cfg.Client,
 		log:    cfg.Log,
-		leases: make(map[LeaseKey]Lease),
 		stats:  make(map[string]*WorkerStats),
 		slots:  make(map[string]*slotPool),
 	}
@@ -221,17 +186,15 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		c.mWorkerUp = reg.Gauge("gemstone_dist_worker_up",
 			"Worker health: 1 when the last probe or request succeeded.", "worker")
 		c.mInflight = reg.Gauge("gemstone_dist_inflight_leases",
-			"Jobs currently leased to remote workers.")
+			"Jobs currently dispatched to remote workers.")
 		c.mQueue = reg.Gauge("gemstone_dist_queue_depth",
-			"Jobs waiting for a worker slot.")
+			"Campaign lanes waiting for a worker slot.")
 		c.mRetries = reg.Counter("gemstone_dist_retries_total",
 			"Remote job attempts that failed and were rescheduled.")
 		c.mJobs = reg.Counter("gemstone_dist_jobs_total",
 			"Jobs finished, by execution mode.", "mode")
 		c.mHTTPErrors = reg.Counter("gemstone_dist_http_errors_total",
 			"Worker request failures, by kind.", "kind")
-		c.mDuplicates = reg.Counter("gemstone_dist_duplicates_total",
-			"Responses discarded because the job had already been recorded.")
 	}
 	return c
 }
@@ -261,41 +224,9 @@ func (c *Coordinator) DegradedCampaigns() int {
 // many answered with a compatible hello. Probe outcomes update the
 // cached WorkerStats, so a readiness endpoint calling this keeps the
 // fleet snapshot fresh as a side effect. The probe respects ctx as well
-// as the configured ProbeTimeout.
+// as the fixed probe timeout.
 func (c *Coordinator) LiveWorkers(ctx context.Context) int {
 	return len(c.probe(ctx))
-}
-
-// Leases snapshots the in-flight lease table (tests and debugging).
-func (c *Coordinator) Leases() map[LeaseKey]Lease {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[LeaseKey]Lease, len(c.leases))
-	for k, l := range c.leases {
-		out[k] = l
-	}
-	return out
-}
-
-func (c *Coordinator) leaseAcquire(campaign, job, worker string) {
-	c.mu.Lock()
-	c.leases[LeaseKey{Campaign: campaign, Job: job}] =
-		Lease{Worker: worker, Expires: time.Now().Add(c.cfg.RunTimeout)}
-	n := len(c.leases)
-	c.mu.Unlock()
-	if c.mInflight != nil {
-		c.mInflight.Set(float64(n))
-	}
-}
-
-func (c *Coordinator) leaseRelease(campaign, job string) {
-	c.mu.Lock()
-	delete(c.leases, LeaseKey{Campaign: campaign, Job: job})
-	n := len(c.leases)
-	c.mu.Unlock()
-	if c.mInflight != nil {
-		c.mInflight.Set(float64(n))
-	}
 }
 
 // slotsFor returns the shared slot pool for a worker, resizing it in
@@ -404,7 +335,7 @@ func (c *Coordinator) probe(ctx context.Context) []*workerConn {
 		c.noteProbe(base, true, hello.Capacity)
 		conn := &workerConn{
 			base:     base,
-			capacity: hello.Capacity,
+			capacity: max(hello.Capacity, 1),
 			slots:    c.slotsFor(base, hello.Capacity),
 		}
 		conn.alive.Store(true)
@@ -414,7 +345,7 @@ func (c *Coordinator) probe(ctx context.Context) []*workerConn {
 }
 
 func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathHello, nil)
 	if err != nil {
@@ -442,17 +373,20 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 // platform cannot be named over the wire — it degrades to pure-local
 // execution with no error.
 //
-// opt.Name names the campaign: the name keys the campaign's leases and
-// appears in coordinator logging, so a service scheduling concurrent
-// campaigns (gemstone serve) can attribute in-flight work to the tenant
-// campaign that owns it. Names must be unique among in-flight campaigns;
-// an empty Name is auto-assigned.
+// The campaign runs on core.CollectLanes, the driver behind core.Collect,
+// with one lane per advertised worker slot: the cache, the observer, the
+// sweep-affine unit scheduling and fail-fast are core's, and only the
+// cache-miss step (fleetCampaign.run) is the coordinator's.
+//
+// opt.Name names the campaign in coordinator logging and in the trace
+// context stamped on every job, so a service scheduling concurrent
+// campaigns (gemstone serve) can attribute worker activity to the tenant
+// campaign that owns it. An empty Name is auto-assigned.
 //
 // Collect may be called concurrently: campaigns share the worker fleet
 // (per-worker capacity is enforced fleet-wide, so overlapping campaigns
 // queue for slots instead of overloading workers).
 func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
-	start := time.Now()
 	name := opt.Name
 	if name == "" {
 		name = fmt.Sprintf("campaign-%d", c.seq.Add(1))
@@ -461,14 +395,6 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 		obs.String("platform", pl.Name()), obs.String("campaign", name),
 		obs.Bool("distributed", true))
 	defer root.End()
-	planSpan := root.Child("plan")
-	jobs, err := core.PlanCampaign(pl, &opt)
-	planSpan.Annotate(obs.Int("jobs", len(jobs)))
-	planSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	planTime := time.Since(start)
 
 	spec, ok := SpecFor(pl)
 	probeSpan := root.Child("probe", obs.Int("workers", len(c.cfg.Workers)))
@@ -487,531 +413,246 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 		c.mu.Unlock()
 		// End the distributed root before delegating: the local collector
 		// starts its own fully-detailed "collect" root, and this span
-		// should cover only the planning and probing that preceded the
-		// degradation decision.
+		// should cover only the probing that preceded the degradation
+		// decision.
 		root.Annotate(obs.Bool("degraded", true), obs.String("reason", reason))
 		root.End()
 		return core.Collect(ctx, pl, opt)
 	}
 
-	cp := &campaign{
+	fc := &fleetCampaign{
 		c:        c,
-		id:       name,
 		ctx:      ctx,
-		pl:       pl,
+		name:     name,
 		opt:      &opt,
-		span:     root,
-		jobs:     jobs,
-		ids:      make([]string, len(jobs)),
 		spec:     spec,
 		fp:       pl.Config().Fingerprint(),
 		conns:    conns,
-		pending:  make(chan int, len(jobs)),
-		local:    make(chan int, len(jobs)),
-		done:     make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		runs:     make(map[core.RunKey]platform.Measurement, len(jobs)),
-		attempts: make([]int, len(jobs)),
-		started:  make([]bool, len(jobs)),
-		rng:      xrand.New(c.cfg.Seed),
+		local:    core.LocalLanes(pl, opt.Fidelity, 1),
+		localSem: make(chan struct{}, 1),
+		rng:      xrand.New(1),
 	}
-	for i, j := range jobs {
-		if j.CacheKey != "" {
-			cp.ids[i] = j.CacheKey
-			continue
-		}
-		id, err := core.CacheKeyFidelity(pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity)
-		if err != nil {
-			return nil, err
-		}
-		cp.ids[i] = id
+	// Slot s of every worker before slot s+1 of any: a campaign with fewer
+	// units than slots still spreads over the whole fleet.
+	slots := 0
+	for _, w := range conns {
+		slots = max(slots, w.capacity)
 	}
-	return cp.run(start, planTime)
+	for s := range slots {
+		for _, w := range conns {
+			if s < w.capacity {
+				fc.home = append(fc.home, w)
+			}
+		}
+	}
+	rs, stats, err := core.CollectLanes(ctx, pl, opt, root, len(fc.home), fc.run)
+	if c.mJobs != nil && stats.CacheHits > 0 {
+		c.mJobs.Add(float64(stats.CacheHits), "cache")
+	}
+	locals := int(fc.locals.Load())
+	c.logf().Info("distributed campaign done",
+		"campaign", name, "platform", pl.Name(), "jobs", stats.Jobs,
+		"remote", stats.Simulated-locals, "local", locals,
+		"cache_hits", stats.CacheHits, "errors", stats.Errors,
+		"wall", stats.WallTime.Round(time.Millisecond).String())
+	return rs, err
 }
 
-// campaign is the per-Collect state machine. Job ownership is structural:
-// an index lives in exactly one place at a time — the pending channel, the
-// local channel, a retry timer, or a dispatch in flight — so the buffered
-// channels never block and a job can never run twice concurrently on the
-// coordinator's initiative. (Duplicate *responses* — chaos or a worker
-// answering after its lease expired — are absorbed by record's idempotence
-// guard instead.)
-type campaign struct {
+// fleetCampaign is one distributed campaign's cache-miss step: run is the
+// core.LaneFunc of its lanes, one per advertised worker slot.
+type fleetCampaign struct {
 	c     *Coordinator
-	id    string // lease-table key prefix and log tag
-	ctx   context.Context
-	pl    *platform.Platform
+	ctx   context.Context // the caller's; bounds every request
+	name  string
 	opt   *core.CollectOptions
-	span  *obs.Span // campaign root; nil-safe like the whole span API
-	jobs  []core.PlannedJob
-	ids   []string
 	spec  PlatformSpec
 	fp    string
 	conns []*workerConn
+	home  []*workerConn // lane → the worker whose slot it dispatches to
 
-	pending chan int
-	local   chan int
-	done    chan struct{}
-
-	remaining atomic.Int64
-	stop      atomic.Bool
-	stopCh    chan struct{} // closed by fail; wakes every blocked loop
-	stopOnce  sync.Once
-	drainOnce sync.Once
-
-	mu      sync.Mutex
-	runs    map[core.RunKey]platform.Measurement
-	failed  []core.RunError
-	started []bool
-
-	attempts []int // guarded by mu
-
-	hits, remote, localRuns, dups atomic.Int64
-	simNS, cacheNS                atomic.Int64
+	// local simulates fallback jobs on one lazily built SimContext;
+	// localSem admits one fallback simulation at a time.
+	local    core.LaneFunc
+	localSem chan struct{}
+	locals   atomic.Int64
 
 	rngMu sync.Mutex
 	rng   *xrand.RNG
 }
 
-func (cp *campaign) observer() core.CollectObserver { return cp.opt.Observer }
-
-func (cp *campaign) run(start time.Time, planTime time.Duration) (*core.RunSet, error) {
-	if obsv := cp.observer(); obsv != nil {
-		obsv.CollectStart(cp.pl.Name(), len(cp.jobs))
-	}
-	cp.remaining.Store(int64(len(cp.jobs)))
-
-	// Cache pass: hits complete immediately, misses queue for dispatch.
-	cacheSpan := cp.span.Child("cache-pass")
-	for i := range cp.jobs {
-		if cp.opt.Cache != nil {
-			t0 := time.Now()
-			m, ok := cp.opt.Cache.Get(cp.ids[i])
-			cp.cacheNS.Add(int64(time.Since(t0)))
-			if ok {
-				cp.hits.Add(1)
-				if cp.c.mJobs != nil {
-					cp.c.mJobs.Inc("cache")
-				}
-				if obsv := cp.observer(); obsv != nil {
-					obsv.CacheHit(cp.jobs[i].Key)
-				}
-				cp.mu.Lock()
-				cp.runs[cp.jobs[i].Key] = m
-				cp.mu.Unlock()
-				cp.finish()
-				continue
-			}
+// run dispatches j to the lane's home worker — or, once that worker is
+// benched, to another live one — and retries failed attempts with
+// jittered backoff. After maxAttempts failures, or once no worker is
+// alive, it simulates j on the coordinator. A 422 is terminal: the
+// simulation failed deterministically and would fail anywhere.
+func (fc *fleetCampaign) run(ctx context.Context, lane int, j core.PlannedJob, sp *obs.Span) (platform.Measurement, time.Duration, error) {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
+		w := fc.pick(lane)
+		if w == nil {
+			break
 		}
-		cp.pending <- i
-	}
-	cacheSpan.Annotate(obs.Int64("hits", cp.hits.Load()))
-	cacheSpan.End()
-	cp.setQueueGauge()
-
-	var wg sync.WaitGroup
-	for _, w := range cp.conns {
-		for s := 0; s < w.capacity; s++ {
-			wg.Add(1)
-			go func(w *workerConn, slot int) {
-				defer wg.Done()
-				cp.workerLoop(w, slot)
-			}(w, s)
+		m, simTime, err := fc.dispatch(ctx, w, j, sp)
+		if err == nil || isTerminal(err) {
+			return m, simTime, err
+		}
+		if ctx.Err() != nil {
+			return platform.Measurement{}, 0, ctx.Err()
+		}
+		fc.noteWorkerFailure(w, err)
+		fc.c.logf().Warn("remote attempt failed",
+			"campaign", fc.name, "job", j.Key.String(),
+			"worker", w.base, "attempt", attempt, "err", err)
+		if attempt == maxAttempts || fc.pick(lane) == nil {
+			break
+		}
+		if err := sleep(ctx, fc.backoff(attempt)); err != nil {
+			return platform.Measurement{}, 0, err
 		}
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cp.localLoop()
-	}()
-	wg.Wait()
-	cp.setQueueGauge()
-
-	rs := &core.RunSet{Platform: cp.pl.Name(), Runs: cp.runs}
-	cp.mu.Lock()
-	failed := cp.failed
-	cp.mu.Unlock()
-	failedKeys := make(map[core.RunKey]bool, len(failed))
-	for _, re := range failed {
-		failedKeys[re.Key] = true
-	}
-	var skipped []core.RunKey
-	for _, j := range cp.jobs {
-		if _, ok := cp.runs[j.Key]; !ok && !failedKeys[j.Key] {
-			skipped = append(skipped, j.Key)
-		}
-	}
-
-	stats := core.CollectStats{
-		Platform:  cp.pl.Name(),
-		Jobs:      len(cp.jobs),
-		Simulated: int(cp.remote.Load() + cp.localRuns.Load()),
-		CacheHits: int(cp.hits.Load()),
-		Errors:    len(failed),
-		Skipped:   len(skipped),
-		PlanTime:  planTime,
-		CacheTime: time.Duration(cp.cacheNS.Load()),
-		SimTime:   time.Duration(cp.simNS.Load()),
-		WallTime:  time.Since(start),
-	}
-	if obsv := cp.observer(); obsv != nil {
-		obsv.CollectDone(stats)
-	}
-	cp.c.logf().Info("distributed campaign done",
-		"campaign", cp.id,
-		"platform", stats.Platform, "jobs", stats.Jobs,
-		"remote", cp.remote.Load(), "local", cp.localRuns.Load(),
-		"cache_hits", stats.CacheHits, "duplicates", cp.dups.Load(),
-		"errors", stats.Errors, "wall", stats.WallTime.Round(time.Millisecond).String())
-
-	if len(failed) > 0 || cp.ctx.Err() != nil {
-		return nil, &core.CollectError{
-			Platform: cp.pl.Name(),
-			Failed:   failed,
-			Skipped:  skipped,
-			Cause:    context.Cause(cp.ctx),
-			Partial:  rs,
-		}
-	}
-	return rs, nil
+	return fc.simulateLocal(ctx, j, sp)
 }
 
-func (cp *campaign) setQueueGauge() {
-	if cp.c.mQueue != nil {
-		cp.c.mQueue.Set(float64(len(cp.pending)))
+// pick returns the worker a lane dispatches to: its home while that is
+// alive, else the first live worker, or nil once the fleet is gone.
+func (fc *fleetCampaign) pick(lane int) *workerConn {
+	if w := fc.home[lane]; w.alive.Load() {
+		return w
 	}
-}
-
-// finish marks one job complete; the last one releases every loop.
-func (cp *campaign) finish() {
-	if cp.remaining.Add(-1) == 0 {
-		close(cp.done)
-	}
-}
-
-// record stores a measurement exactly once, reporting whether this call
-// was the one that stored it. The duplicate guard makes completion
-// idempotent: a chaos-duplicated response, or a worker answering after
-// its lease expired and the job was reassigned, is counted and discarded
-// instead of double-finishing the campaign. Both executions of a
-// deterministic job carry identical bits, so dropping either copy
-// preserves the equivalence contract — and callers drop the duplicate's
-// trace spans on the same signal, so a job never renders twice.
-func (cp *campaign) record(i int, m platform.Measurement, simTime time.Duration, mode string) bool {
-	key := cp.jobs[i].Key
-	cp.mu.Lock()
-	if _, dup := cp.runs[key]; dup {
-		cp.mu.Unlock()
-		cp.dups.Add(1)
-		if cp.c.mDuplicates != nil {
-			cp.c.mDuplicates.Inc()
-		}
-		return false
-	}
-	cp.runs[key] = m
-	cp.mu.Unlock()
-
-	switch mode {
-	case "remote":
-		cp.remote.Add(1)
-	case "local":
-		cp.localRuns.Add(1)
-	}
-	if cp.c.mJobs != nil {
-		cp.c.mJobs.Inc(mode)
-	}
-	cp.simNS.Add(int64(simTime))
-	if cp.opt.Cache != nil {
-		t0 := time.Now()
-		cp.opt.Cache.Put(cp.ids[i], m)
-		cp.cacheNS.Add(int64(time.Since(t0)))
-	}
-	if obsv := cp.observer(); obsv != nil {
-		obsv.RunDone(key, m, simTime)
-	}
-	cp.finish()
-	return true
-}
-
-// fail records a terminal run failure and stops the campaign, mirroring
-// core.Collect's fail-fast: the remaining jobs become skipped.
-func (cp *campaign) fail(i int, err error) {
-	re := core.RunError{Key: cp.jobs[i].Key, Err: err}
-	cp.mu.Lock()
-	cp.failed = append(cp.failed, re)
-	cp.mu.Unlock()
-	cp.stop.Store(true)
-	cp.stopOnce.Do(func() { close(cp.stopCh) })
-	if obsv := cp.observer(); obsv != nil {
-		obsv.RunError(re.Key, err)
-	}
-}
-
-// runStartOnce fires the observer's RunStart exactly once per job, however
-// many attempts it takes.
-func (cp *campaign) runStartOnce(i int) {
-	cp.mu.Lock()
-	first := !cp.started[i]
-	cp.started[i] = true
-	cp.mu.Unlock()
-	if first {
-		if obsv := cp.observer(); obsv != nil {
-			obsv.RunStart(cp.jobs[i].Key)
-		}
-	}
-}
-
-func (cp *campaign) aliveWorkers() int {
-	n := 0
-	for _, w := range cp.conns {
+	for _, w := range fc.conns {
 		if w.alive.Load() {
-			n++
+			return w
 		}
 	}
-	return n
+	return nil
 }
 
-// workerLoop pulls pending jobs and dispatches them to one worker slot.
-// When tracing, the slot owns a root span for the campaign's duration:
-// per-dispatch children render on its lane, and the worker's own spans
-// (imported under the worker's pid) nest inside the dispatch window.
-func (cp *campaign) workerLoop(w *workerConn, slot int) {
-	ws := cp.opt.Tracer.Start("slot",
-		obs.String("worker", w.base), obs.Int("slot", slot))
-	defer ws.End()
-	for {
-		if cp.stop.Load() || !w.alive.Load() {
-			return
-		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.pending:
-			cp.setQueueGauge()
-			if cp.stop.Load() {
-				return
-			}
-			if !w.alive.Load() {
-				// This slot was benched while blocked on the queue; hand
-				// the job back without burning an attempt.
-				cp.reroute(i)
-				return
-			}
-			// Acquire a fleet-shared capacity slot before dispatching:
-			// concurrent campaigns contend here, so the worker never sees
-			// more in-flight requests than it advertised. The slot is
-			// taken only while a job is in hand (never while idling on the
-			// queue), so an idle campaign cannot starve a busy one.
-			waitSpan := ws.Child("slot-wait")
-			if !w.slots.acquire(cp.stopCh, cp.ctx.Done()) {
-				waitSpan.End()
-				return // campaign is failing or cancelled; i becomes a skipped job
-			}
-			waitSpan.End()
-			cp.dispatch(w, i, ws)
-			w.slots.release()
-		}
+// dispatch runs one remote attempt of j on w: it waits for one of w's
+// fleet-shared slots — concurrent campaigns contend here, so the worker
+// never sees more in-flight requests than it advertised — then posts the
+// job. sp is the lane's trace span (nil when untraced); the dispatch child
+// it opens is the local-side window the worker's returned spans are
+// clamped into, so a stitched trace nests worker activity inside the
+// exchange that provably contained it.
+func (fc *fleetCampaign) dispatch(ctx context.Context, w *workerConn, j core.PlannedJob, sp *obs.Span) (platform.Measurement, time.Duration, error) {
+	c := fc.c
+	waitSpan := sp.Child("slot-wait")
+	gaugeAdd(c.mQueue, 1)
+	ok := w.slots.acquire(ctx.Done(), nil)
+	gaugeAdd(c.mQueue, -1)
+	waitSpan.End()
+	if !ok {
+		return platform.Measurement{}, 0, ctx.Err()
 	}
-}
+	defer w.slots.release()
 
-// reroute sends a job to another live worker, or to the local lane when
-// none remain.
-func (cp *campaign) reroute(i int) {
-	if cp.aliveWorkers() == 0 {
-		cp.local <- i
-		return
-	}
-	cp.pending <- i
-	cp.setQueueGauge()
-}
-
-// dispatch runs one remote attempt of job i on w and routes the outcome:
-// success records, a terminal (simulation) failure stops the campaign, and
-// a transport/server failure reschedules with exponential backoff and
-// jitter — to any live worker, or locally once attempts are exhausted.
-// ws is the slot's trace span (nil when untraced); the dispatch child it
-// opens is the local-side window the worker's returned spans are clamped
-// into, so a stitched trace nests worker activity inside the dispatch
-// that provably contained it.
-func (cp *campaign) dispatch(w *workerConn, i int, ws *obs.Span) {
-	cp.runStartOnce(i)
 	var dspan *obs.Span
-	if ws != nil {
-		dspan = ws.Child("dispatch", obs.String("job", cp.jobs[i].Key.String()))
+	if sp != nil {
+		dspan = sp.Child("dispatch", obs.String("job", j.Key.String()), obs.String("worker", w.base))
 	}
-	cp.c.leaseAcquire(cp.id, cp.ids[i], w.base)
-	m, simSec, batch, err := cp.runRemote(w, i)
-	cp.c.leaseRelease(cp.id, cp.ids[i])
-
-	if err == nil {
-		w.fails.Store(0)
-		st := cp.c.workerStat(w.base)
-		cp.c.mu.Lock()
-		st.Jobs++
-		cp.c.mu.Unlock()
-		fresh := cp.record(i, m, time.Duration(simSec*float64(time.Second)), "remote")
-		dspan.Annotate(obs.Bool("recorded", fresh))
-		dspan.End()
-		// Import the worker's spans only for the response that actually
-		// recorded: a duplicate completion (chaos, or a worker answering
-		// after its lease expired) must not render the job twice.
-		if fresh && batch != nil {
-			cp.opt.Tracer.ImportProcess("worker "+w.base,
-				batch.spans, batch.offset, batch.lo, batch.hi)
+	gaugeAdd(c.mInflight, 1)
+	m, simSec, batch, err := fc.runRemote(w, j)
+	gaugeAdd(c.mInflight, -1)
+	if err != nil {
+		kind := "retry"
+		if isTerminal(err) {
+			kind = "terminal"
 		}
-		return
-	}
-
-	if isTerminal(err) {
-		dspan.Annotate(obs.String("error", "terminal"))
+		dspan.Annotate(obs.String("error", kind))
 		dspan.End()
-		cp.fail(i, err)
-		return
+		return platform.Measurement{}, 0, err
 	}
-
-	// Retryable failure: charge the worker and the job, then reschedule.
-	dspan.Annotate(obs.String("error", "retry"))
 	dspan.End()
-	cp.noteWorkerFailure(w, err)
-	if cp.c.mRetries != nil {
-		cp.c.mRetries.Inc()
+	if batch != nil {
+		fc.opt.Tracer.ImportProcess("worker "+w.base,
+			batch.spans, batch.offset, batch.lo, batch.hi)
 	}
-	cp.mu.Lock()
-	cp.attempts[i]++
-	n := cp.attempts[i]
-	cp.mu.Unlock()
-	cp.c.logf().Warn("remote attempt failed",
-		"campaign", cp.id, "job", cp.jobs[i].Key.String(),
-		"worker", w.base, "attempt", n, "err", err)
+	w.fails.Store(0)
+	st := c.workerStat(w.base)
+	c.mu.Lock()
+	st.Jobs++
+	c.mu.Unlock()
+	if c.mJobs != nil {
+		c.mJobs.Inc("remote")
+	}
+	return m, time.Duration(simSec * float64(time.Second)), nil
+}
 
-	if n >= cp.c.cfg.MaxAttempts || cp.aliveWorkers() == 0 {
-		cp.local <- i
-		return
+// simulateLocal is the coordinator-side fallback: j simulates here exactly
+// as a local campaign would, one fallback at a time per campaign.
+func (fc *fleetCampaign) simulateLocal(ctx context.Context, j core.PlannedJob, sp *obs.Span) (platform.Measurement, time.Duration, error) {
+	select {
+	case fc.localSem <- struct{}{}:
+	case <-ctx.Done():
+		return platform.Measurement{}, 0, ctx.Err()
 	}
-	delay := cp.backoff(n)
-	time.AfterFunc(delay, func() {
-		if cp.stop.Load() {
-			return
+	defer func() { <-fc.localSem }()
+	if ctx.Err() != nil {
+		return platform.Measurement{}, 0, ctx.Err()
+	}
+	m, simTime, err := fc.local(ctx, 0, j, sp)
+	if err == nil {
+		fc.locals.Add(1)
+		if fc.c.mJobs != nil {
+			fc.c.mJobs.Inc("local")
 		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.ctx.Done():
-			return
-		default:
-		}
-		cp.pending <- i
-		cp.setQueueGauge()
-	})
+	}
+	return m, simTime, err
 }
 
 // noteWorkerFailure charges a failed attempt to w; deadAfter consecutive
-// failures bench it for the rest of the campaign. When the last live
-// worker is benched, a drainer moves queued jobs to the local lane so
-// nothing starves waiting for workers that will never answer.
-func (cp *campaign) noteWorkerFailure(w *workerConn, err error) {
-	st := cp.c.workerStat(w.base)
-	cp.c.mu.Lock()
+// failures bench it for the rest of the campaign, and the lanes homed on
+// it move to another live worker or, with none left, to the local
+// fallback.
+func (fc *fleetCampaign) noteWorkerFailure(w *workerConn, err error) {
+	c := fc.c
+	if c.mRetries != nil {
+		c.mRetries.Inc()
+	}
+	st := c.workerStat(w.base)
+	c.mu.Lock()
 	st.Retries++
-	cp.c.mu.Unlock()
-	if w.fails.Add(1) < deadAfter {
+	c.mu.Unlock()
+	if w.fails.Add(1) < deadAfter || !w.alive.CompareAndSwap(true, false) {
 		return
 	}
-	if !w.alive.CompareAndSwap(true, false) {
-		return
+	if c.mWorkerUp != nil {
+		c.mWorkerUp.Set(0, w.base)
 	}
-	if cp.c.mWorkerUp != nil {
-		cp.c.mWorkerUp.Set(0, w.base)
-	}
-	cp.c.mu.Lock()
+	c.mu.Lock()
 	st.Alive = false
-	cp.c.mu.Unlock()
-	cp.c.logf().Warn("worker benched for this campaign", "worker", w.base, "err", err)
-	if cp.aliveWorkers() == 0 {
-		cp.drainOnce.Do(func() { go cp.drainToLocal() })
-	}
-}
-
-// drainToLocal forwards every queued job to the local lane once no worker
-// remains alive.
-func (cp *campaign) drainToLocal() {
-	for {
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.pending:
-			if cp.stop.Load() {
-				return
-			}
-			cp.local <- i
-		}
-	}
-}
-
-// localLoop is the coordinator-side fallback lane: jobs whose remote
-// attempts are exhausted (or that lost every worker) simulate here on a
-// reused SimContext, exactly as a local campaign would.
-func (cp *campaign) localLoop() {
-	ls := cp.opt.Tracer.Start("local-lane")
-	defer ls.End()
-	var sim *platform.SimContext // built on first use
-	for {
-		if cp.stop.Load() {
-			return
-		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.local:
-			if cp.stop.Load() {
-				return
-			}
-			cp.runStartOnce(i)
-			if sim == nil {
-				sim = platform.NewSimContext(cp.pl)
-			}
-			j := cp.jobs[i]
-			// Attribute strings are built only when tracing (ls non-nil):
-			// the key format allocates, and untraced campaigns must stay
-			// allocation-free on this path.
-			var sp *obs.Span
-			if ls != nil {
-				sp = ls.Child("simulate", obs.String("key", j.Key.String()))
-			}
-			t0 := time.Now()
-			m, err := sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, cp.opt.Fidelity, sp)
-			sp.End()
-			if err != nil {
-				cp.fail(i, err)
-				return
-			}
-			cp.record(i, m, time.Since(t0), "local")
-		}
-	}
+	c.mu.Unlock()
+	c.logf().Warn("worker benched for this campaign", "worker", w.base, "err", err)
 }
 
 // backoff computes the jittered delay before attempt n+1.
-func (cp *campaign) backoff(n int) time.Duration {
-	d := cp.c.cfg.BackoffBase << (n - 1)
-	if d > cp.c.cfg.BackoffMax || d <= 0 {
-		d = cp.c.cfg.BackoffMax
+func (fc *fleetCampaign) backoff(n int) time.Duration {
+	d := fc.c.cfg.BackoffBase << (n - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
-	cp.rngMu.Lock()
-	f := 0.5 + cp.rng.Float64()
-	cp.rngMu.Unlock()
+	fc.rngMu.Lock()
+	f := 0.5 + fc.rng.Float64()
+	fc.rngMu.Unlock()
 	return time.Duration(float64(d) * f)
+}
+
+// sleep waits d, or returns ctx.Err() as soon as ctx is done.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// gaugeAdd adjusts g when metrics are configured.
+func gaugeAdd(g *obs.Gauge, delta float64) {
+	if g != nil {
+		g.Add(delta)
+	}
 }
 
 // remoteError is a retryable worker-request failure, tagged for the
@@ -1046,8 +687,8 @@ type workerSpanBatch struct {
 	lo, hi time.Time
 }
 
-// runRemote performs one HTTP attempt of job i against w under the lease
-// timeout, verifying protocol version, job identity and payload digest
+// runRemote performs one HTTP attempt of j against w under the RunTimeout
+// deadline, verifying protocol version, job identity and payload digest
 // before trusting the measurement. When the job was traced and the worker
 // returned spans, the non-nil batch carries them with a clock-offset
 // estimate derived from the exchange's four timestamps (the coordinator's
@@ -1059,47 +700,46 @@ type workerSpanBatch struct {
 // the importer additionally clamps every span into [t0, t1] — worker
 // spans can therefore never escape the dispatch span that contains them,
 // whatever the skew (including negative offsets).
-func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float64, *workerSpanBatch, error) {
-	j := cp.jobs[i]
+func (fc *fleetCampaign) runRemote(w *workerConn, j core.PlannedJob) (platform.Measurement, float64, *workerSpanBatch, error) {
 	job := Job{
 		Proto:      ProtoVersion,
-		ID:         cp.ids[i],
-		Spec:       cp.spec,
-		PlatformFP: cp.fp,
+		ID:         j.CacheKey,
+		Spec:       fc.spec,
+		PlatformFP: fc.fp,
 		Profile:    j.Profile,
 		Cluster:    j.Key.Cluster,
 		FreqMHz:    j.Key.FreqMHz,
-		Fidelity:   cp.opt.Fidelity,
+		Fidelity:   fc.opt.Fidelity,
 	}
-	if tc := cp.opt.Trace; tc.Correlated() || cp.opt.Tracer.Enabled() {
+	if tc := fc.opt.Trace; tc.Correlated() || fc.opt.Tracer.Enabled() {
 		if tc.Campaign == "" {
-			tc.Campaign = cp.id
+			tc.Campaign = fc.name
 		}
-		tc.Job = cp.ids[i]
+		tc.Job = j.CacheKey
 		tc.Parent = "dispatch"
-		tc.Record = cp.opt.Tracer.Enabled()
+		tc.Record = fc.opt.Tracer.Enabled()
 		job.Trace = tc
 	}
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(job); err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("encode", err)
+		return platform.Measurement{}, 0, nil, fc.httpErr("encode", err)
 	}
-	ctx, cancel := context.WithTimeout(cp.ctx, cp.c.cfg.RunTimeout)
+	ctx, cancel := context.WithTimeout(fc.ctx, fc.c.cfg.RunTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+PathRun, bytes.NewReader(body.Bytes()))
 	if err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("encode", err)
+		return platform.Measurement{}, 0, nil, fc.httpErr("encode", err)
 	}
 	req.Header.Set("Content-Type", contentType)
 
 	sendT := time.Now()
-	resp, err := cp.c.client.Do(req)
+	resp, err := fc.c.client.Do(req)
 	if err != nil {
 		kind := "conn"
 		if ctx.Err() == context.DeadlineExceeded {
 			kind = "lease-expired"
 		}
-		return platform.Measurement{}, 0, nil, cp.httpErr(kind, err)
+		return platform.Measurement{}, 0, nil, fc.httpErr(kind, err)
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -1114,26 +754,26 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 		return platform.Measurement{}, 0, nil, &simFailedError{msg: strings.TrimSpace(string(msg))}
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return platform.Measurement{}, 0, nil, cp.httpErr("status",
+		return platform.Measurement{}, 0, nil, fc.httpErr("status",
 			fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(msg))))
 	}
 
 	var res RunResult
 	if err := gob.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("decode", err)
+		return platform.Measurement{}, 0, nil, fc.httpErr("decode", err)
 	}
 	recvT := time.Now()
 	if res.Proto != ProtoVersion {
-		return platform.Measurement{}, 0, nil, cp.httpErr("proto",
+		return platform.Measurement{}, 0, nil, fc.httpErr("proto",
 			fmt.Errorf("result protocol %d, want %d", res.Proto, ProtoVersion))
 	}
 	if res.ID != job.ID {
-		return platform.Measurement{}, 0, nil, cp.httpErr("misroute",
+		return platform.Measurement{}, 0, nil, fc.httpErr("misroute",
 			fmt.Errorf("result for %s, want %s", res.ID, job.ID))
 	}
 	m, err := res.Measurement()
 	if err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("digest", err)
+		return platform.Measurement{}, 0, nil, fc.httpErr("digest", err)
 	}
 	var batch *workerSpanBatch
 	if len(res.Spans) > 0 && res.RecvUnixNano != 0 && res.DoneUnixNano != 0 {
@@ -1145,9 +785,9 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 	return m, res.SimSeconds, batch, nil
 }
 
-func (cp *campaign) httpErr(kind string, err error) error {
-	if cp.c.mHTTPErrors != nil {
-		cp.c.mHTTPErrors.Inc(kind)
+func (fc *fleetCampaign) httpErr(kind string, err error) error {
+	if fc.c.mHTTPErrors != nil {
+		fc.c.mHTTPErrors.Inc(kind)
 	}
 	return &remoteError{kind: kind, err: err}
 }

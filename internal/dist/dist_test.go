@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,10 +148,7 @@ func TestZeroWorkersDegradesToLocal(t *testing.T) {
 		"unreachable": {"127.0.0.1:1"}, // reserved port: connection refused
 	} {
 		t.Run(name, func(t *testing.T) {
-			coord := NewCoordinator(CoordinatorConfig{
-				Workers:      workers,
-				ProbeTimeout: 2 * time.Second,
-			})
+			coord := NewCoordinator(CoordinatorConfig{Workers: workers})
 			rs, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
 			if err != nil {
 				t.Fatalf("degraded campaign errored: %v", err)
@@ -197,12 +195,25 @@ func TestGoldenChaosEquivalence(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		Registry:    reg,
 	})
-	dist, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
+	opt := campaignOpts(n)
+	done := &doneCounter{}
+	opt.Observer = done
+	dist, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(archiveBytes(t, dist), archiveBytes(t, local)) {
 		t.Fatal("chaotic distributed archive differs from local")
+	}
+	// Retries, the duplicated response and the killed worker must not
+	// complete any job twice.
+	if len(done.n) != n {
+		t.Fatalf("RunDone fired for %d keys, want %d", len(done.n), n)
+	}
+	for k, c := range done.n {
+		if c != 1 {
+			t.Errorf("RunDone fired %d times for %s, want 1", c, k)
+		}
 	}
 	if chaos.Duplicates() != 1 {
 		t.Fatalf("chaos injected %d duplicates, want 1", chaos.Duplicates())
@@ -295,6 +306,33 @@ func TestSimulationErrorIsTerminal(t *testing.T) {
 	}
 	if reg.Snapshot()[`gemstone_dist_retries_total`] != 0 {
 		t.Fatal("terminal failure was retried")
+	}
+	// Failed, skipped and completed jobs cover the campaign exactly once.
+	if got := len(ce.Failed) + len(ce.Skipped) + len(ce.Partial.Runs); got != 2 {
+		t.Fatalf("failed %d + skipped %d + done %d = %d, want 2 jobs",
+			len(ce.Failed), len(ce.Skipped), len(ce.Partial.Runs), got)
+	}
+}
+
+// TestRepeatedWorkload pins that a plan listing one workload twice — two
+// jobs with the same run key — completes with local Collect's archive
+// instead of waiting forever for a second completion.
+func TestRepeatedWorkload(t *testing.T) {
+	opt := campaignOpts(1)
+	opt.Workloads = append(opt.Workloads, opt.Workloads[0])
+	local, err := core.Collect(context.Background(), hw.Platform(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coord := NewCoordinator(CoordinatorConfig{Workers: []string{startWorker(t, nil).URL}})
+	dist, err := coord.Collect(ctx, hw.Platform(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(archiveBytes(t, dist), archiveBytes(t, local)) {
+		t.Fatal("distributed archive of a repeated workload differs from local")
 	}
 }
 
@@ -395,44 +433,6 @@ func TestWorkerRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestRecordAbsorbsDuplicate unit-tests the idempotence guard directly: a
-// second completion of the same job must be discarded and counted, not
-// double-finish the campaign.
-func TestRecordAbsorbsDuplicate(t *testing.T) {
-	pl := hw.Platform()
-	opt := campaignOpts(1)
-	jobs, err := core.PlanCampaign(pl, &opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := &campaign{
-		c:       NewCoordinator(CoordinatorConfig{}),
-		ctx:     context.Background(),
-		pl:      pl,
-		opt:     &opt,
-		jobs:    jobs,
-		ids:     []string{"job-0"},
-		done:    make(chan struct{}),
-		runs:    make(map[core.RunKey]platform.Measurement),
-		started: make([]bool, 1),
-	}
-	cp.remaining.Store(1)
-	var m platform.Measurement
-	cp.record(0, m, 0, "remote")
-	select {
-	case <-cp.done:
-	default:
-		t.Fatal("first record did not finish the campaign")
-	}
-	cp.record(0, m, 0, "remote") // late duplicate: must not re-close done
-	if cp.dups.Load() != 1 {
-		t.Fatalf("duplicates = %d, want 1", cp.dups.Load())
-	}
-	if cp.remote.Load() != 1 {
-		t.Fatalf("remote completions = %d, want 1", cp.remote.Load())
-	}
-}
-
 // TestHelloProbe pins the registration surface.
 func TestHelloProbe(t *testing.T) {
 	w := NewWorker(WorkerConfig{MaxParallel: 3})
@@ -453,4 +453,25 @@ func TestHelloProbe(t *testing.T) {
 	if h.Proto != ProtoVersion || h.Capacity != 3 || h.Runs != 0 {
 		t.Fatalf("hello = %+v", h)
 	}
+}
+
+// doneCounter is a CollectObserver counting RunDone callbacks per key.
+type doneCounter struct {
+	mu sync.Mutex
+	n  map[core.RunKey]int
+}
+
+func (d *doneCounter) CollectStart(string, int)      {}
+func (d *doneCounter) RunStart(core.RunKey)          {}
+func (d *doneCounter) CacheHit(core.RunKey)          {}
+func (d *doneCounter) RunError(core.RunKey, error)   {}
+func (d *doneCounter) CollectDone(core.CollectStats) {}
+
+func (d *doneCounter) RunDone(k core.RunKey, _ platform.Measurement, _ time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.n == nil {
+		d.n = map[core.RunKey]int{}
+	}
+	d.n[k]++
 }

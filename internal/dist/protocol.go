@@ -1,13 +1,14 @@
 // Package dist distributes a GemStone campaign across machines: a
-// coordinator shards the campaign's job list into content-addressed work
-// units (the same keys the PR-1 run cache uses) and serves them over HTTP
-// to remote workers, which simulate with the batched SimContext path and
-// stream measurements back. The paper's workflow (Fig. 1) is
-// embarrassingly parallel across (workload x cluster x DVFS) runs, so the
-// coordinator's only hard job is fault tolerance: retry with exponential
-// backoff and jitter, per-job lease timeouts, reassignment when a worker
-// dies mid-job, and graceful degradation to pure-local execution when no
-// workers answer. The contract is bit-for-bit equivalence: a distributed
+// coordinator runs the campaign on core.CollectLanes with one lane per
+// remote worker slot, and each lane posts its cache misses as
+// content-addressed jobs (the same keys the run cache uses) to a worker,
+// which simulates with the batched SimContext path and streams the
+// measurement back. The paper's workflow (Fig. 1) is embarrassingly
+// parallel across (workload x cluster x DVFS) runs, so the coordinator's
+// only hard job is fault tolerance: retry with exponential backoff and
+// jitter, a per-attempt deadline, rerouting when a worker dies mid-job,
+// local fallback, and graceful degradation to pure-local execution when
+// no workers answer. The contract is bit-for-bit equivalence: a distributed
 // campaign produces the identical canonical RunSet archive as a local
 // core.Collect, including under injected faults (see Chaos).
 package dist

@@ -14,11 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"gemstone/internal/core"
 	"gemstone/internal/hw"
 	"gemstone/internal/obs"
-	"gemstone/internal/platform"
-	"gemstone/internal/xrand"
 )
 
 // chromeDoc mirrors the Chrome trace-event JSON shape the tracer writes;
@@ -314,7 +311,6 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{
 		Workers:     []string{srv.URL},
 		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
 	})
 	tr := obs.NewTracer()
 	opt := campaignOpts(2)
@@ -353,81 +349,6 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 	}
 	if locals == 0 {
 		t.Error("no local-lane simulate spans after the worker died")
-	}
-}
-
-// TestTraceDuplicateCompletionImportsOnce dispatches the same job twice
-// (a worker answering after its lease expired looks exactly like this):
-// the second completion is absorbed by record's idempotence guard and
-// its spans must NOT be imported — the job renders exactly once.
-func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
-	srv := startWorkerCap(t, 2, nil, nil)
-	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
-	conns := coord.probe(context.Background())
-	if len(conns) != 1 {
-		t.Fatalf("probe found %d workers", len(conns))
-	}
-
-	pl := hw.Platform()
-	opt := campaignOpts(1)
-	tr := obs.NewTracer()
-	opt.Tracer = tr
-	jobs, err := core.PlanCampaign(pl, &opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := core.CacheKeyFidelity(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz, platform.FidelityDetailed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, ok := SpecFor(pl)
-	if !ok {
-		t.Fatal("no spec for hw platform")
-	}
-	cp := &campaign{
-		c:        coord,
-		id:       "dup-test",
-		ctx:      context.Background(),
-		pl:       pl,
-		opt:      &opt,
-		jobs:     jobs,
-		ids:      []string{id},
-		spec:     spec,
-		fp:       pl.Config().Fingerprint(),
-		conns:    conns,
-		pending:  make(chan int, 1),
-		local:    make(chan int, 1),
-		done:     make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		runs:     make(map[core.RunKey]platform.Measurement, 1),
-		attempts: make([]int, 1),
-		started:  make([]bool, 1),
-		rng:      xrand.New(1),
-	}
-	cp.remaining.Store(1)
-
-	ws := tr.Start("slot", obs.String("worker", conns[0].base), obs.Int("slot", 0))
-	cp.dispatch(conns[0], 0, ws)
-	cp.dispatch(conns[0], 0, ws) // the duplicate completion
-	ws.End()
-
-	if cp.dups.Load() != 1 {
-		t.Fatalf("duplicates = %d, want 1", cp.dups.Load())
-	}
-	jobSpans, dispatchSpans := 0, 0
-	for _, ev := range tr.Events() {
-		switch {
-		case ev.Proc != 0 && ev.Name == "job":
-			jobSpans++
-		case ev.Proc == 0 && ev.Name == "dispatch":
-			dispatchSpans++
-		}
-	}
-	if jobSpans != 1 {
-		t.Errorf("imported %d worker job spans, want exactly 1", jobSpans)
-	}
-	if dispatchSpans != 2 {
-		t.Errorf("recorded %d dispatch spans, want 2 (both attempts)", dispatchSpans)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // attributed (Correlated) without asking the worker to build and return
 // spans (Recording).
 type TraceContext struct {
-	// Campaign names the owning campaign (the coordinator's lease-table
-	// key prefix, e.g. "c-000042/hw").
+	// Campaign names the owning campaign (the coordinator's campaign
+	// name, e.g. "c-000042/hw").
 	Campaign string
 	// Tenant is the submitting tenant, when the campaign has one.
 	Tenant string

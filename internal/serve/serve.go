@@ -25,7 +25,7 @@ import (
 
 // CollectFunc executes one platform half of a campaign. opt.Name
 // attributes the work ("<campaign-id>/hw", "<campaign-id>/sim") so a
-// distributed coordinator can key its lease table per campaign, and
+// distributed coordinator's logs and job trace contexts name it, and
 // opt.Fidelity carries the simulation tier. Tests install a stub here.
 type CollectFunc func(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error)
 
